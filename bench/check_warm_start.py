@@ -7,7 +7,10 @@ warm=0 solves every QP from zero, warm=1 carries terminal iterates
 across rounds and steps (LtvOptions::warm_start, the shipped default).
 The contract — enforced in CI — is that warm starts cut BOTH the mean
 and the median ADMM iterations per control step by at least
---min-percent (default 25, the acceptance bar) at every horizon.
+--min-percent at every horizon. The default (25) is the historical
+acceptance bar; CI runs at 85, which a warm start carrying its terminal
+rho clears (89-93% saved) and one that re-walks the rho schedule from
+the base value (75-77%) does not.
 
 This gates on ITERATION COUNTS, not wall-clock: counts are exact and
 machine-independent, so the gate doesn't flake on loaded CI runners.

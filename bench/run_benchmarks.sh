@@ -41,7 +41,11 @@
 #                               production path), cold vs warm —
 #                               admm_iters_mean / admm_iters_median are
 #                               what bench/check_warm_start.py gates on;
-#                               stage_ops_per_iter is what
+#                               stage_ops_per_iter (ADMM block ops
+#                               per iteration), polish_ops_per_round
+#                               (polish block ops per working-set
+#                               round) and the banded-vs-dense
+#                               admm_iters_mean are what
 #                               bench/check_banded.py gates on;
 #                               solve_p50_us / solve_p95_us /
 #                               solve_p99_us are sketch-derived per-solve
@@ -57,8 +61,10 @@
 #                    / real_time(BM_LtvControlStep/h/1)
 # CI gates:
 #   python3 bench/check_overhead.py BENCH_fleet.json     (< 5% overhead)
-#   python3 bench/check_warm_start.py BENCH_solver.json  (>= 25% fewer iters)
-#   python3 bench/check_banded.py BENCH_solver.json      (O(H) block ops)
+#   python3 bench/check_warm_start.py BENCH_solver.json --min-percent 85
+#                                                        (>= 85% fewer iters)
+#   python3 bench/check_banded.py BENCH_solver.json      (O(H) block ops,
+#                                                        banded <= dense iters)
 #   python3 bench/check_batch.py <perf_models json>      (>= 1.5x scalar)
 #   python3 bench/check_vectorization.py <build log>     (lane loops SIMD)
 set -euo pipefail

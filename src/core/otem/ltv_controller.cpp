@@ -429,6 +429,9 @@ MpcProblem::Controls LtvOtemController::solve(
     info_.kkt_refactorizations += sol.kkt_refactorizations;
     info_.stage_block_ops += sol.stage_block_ops;
     if (sol.polished) ++info_.qp_polish_hits;
+    info_.qp_polish_rounds += sol.polish_rounds;
+    if (sol.polish_capped) ++info_.qp_polish_capped;
+    info_.polish_block_ops += sol.polish_block_ops;
     info_.qp_converged = sol.converged;
     info_.primal_residual = sol.primal_residual;
     info_.dual_residual = sol.dual_residual;
@@ -475,6 +478,8 @@ SolveDiagnostics LtvOtemController::diagnostics() const {
   d.kkt_refactorizations = info_.kkt_refactorizations;
   d.stage_block_ops = info_.stage_block_ops;
   d.qp_polish_hits = info_.qp_polish_hits;
+  d.qp_polish_rounds = info_.qp_polish_rounds;
+  d.qp_polish_capped = info_.qp_polish_capped;
   d.cost = info_.cost;
   d.primal_residual = info_.primal_residual;
   d.dual_residual = info_.dual_residual;

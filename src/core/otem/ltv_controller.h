@@ -36,7 +36,8 @@ struct LtvOptions {
 
   /// Warm-start the ADMM QP with the previous round's / control step's
   /// terminal iterates (shifted one period across steps, like the
-  /// incumbent plan). Cold-starts after reset() or on a shape change.
+  /// incumbent plan) and terminal penalty rho, which the next solve
+  /// starts at. Cold-starts after reset() or on a shape change.
   /// Off reverts to a from-zero solve every round — the A/B switch
   /// bench/perf_solver's BM_LtvControlStep measures.
   bool warm_start = true;
@@ -50,11 +51,14 @@ struct LtvOptions {
     // kDense to fall back to the condensed oracle path.
     qp.kkt_mode = optim::KktSolveMode::kBanded;
     // The structured solver walks rho up ~4 decades before the stage
-    // problems balance. The default rebalance cadence (every 100
-    // iterations) is deliberate: a faster cadence lets a warm dual seed
-    // (whose early dual residual is misleadingly tiny) slam rho past
-    // its equilibrium, where ADMM oscillates and never meets tolerance.
-    // The per-update step cap in LtvQpSolver bounds each move too.
+    // problems balance — once, on the cold first solve: warm rounds
+    // carry the terminal rho (QpWarmStart::rho) and re-enter at it, so
+    // they rarely reach a rebalance at all. The default rebalance
+    // cadence (every 100 iterations) is deliberate: a faster cadence
+    // lets a warm dual seed (whose early dual residual is misleadingly
+    // tiny) slam rho past its equilibrium, where ADMM oscillates and
+    // never meets tolerance. The per-update step cap in LtvQpSolver
+    // bounds each move too.
     qp.max_iterations = 4000;
     // The QP is assembled in trust-region-normalised variables
     // (|du| <= 1). ADMM itself runs at a deliberately loose tolerance
@@ -100,6 +104,10 @@ class LtvOtemController final : public ControllerIface {
     /// (banded KKT path only; 0 on the dense path).
     size_t stage_block_ops = 0;
     size_t qp_polish_hits = 0;  ///< rounds whose polish was accepted
+    size_t qp_polish_rounds = 0;  ///< polish working-set rounds, summed
+    size_t qp_polish_capped = 0;  ///< polishes that hit the round cap
+    /// The polish share of stage_block_ops (the rest is ADMM work).
+    size_t polish_block_ops = 0;
     double primal_residual = 0.0;  ///< last round's QP
     double dual_residual = 0.0;
     bool fallback = false;      ///< cold start (no usable warm start)

@@ -29,6 +29,12 @@ struct SolveDiagnostics {
   /// QP rounds whose active-set polish was accepted (banded KKT path
   /// with QpOptions::polish; see QpResult::polished).
   size_t qp_polish_hits = 0;
+  /// Working-set refinement rounds the polishes ran, summed over QP
+  /// rounds (QpResult::polish_rounds) ...
+  size_t qp_polish_rounds = 0;
+  /// ... and the QP rounds whose polish ran out of refinement rounds
+  /// before its working set settled (QpResult::polish_capped).
+  size_t qp_polish_capped = 0;
 
   double cost = 0.0;                  ///< objective at the accepted point
   double constraint_violation = 0.0;  ///< max_i c_i (shooting path)

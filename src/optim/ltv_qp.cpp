@@ -313,6 +313,7 @@ double LtvQpSolver::dual_residual(const LtvQpProblem& problem,
 bool LtvQpSolver::polish(const LtvQpProblem& problem,
                          const QpOptions& options, QpResult& result,
                          size_t& stage_ops) {
+  const obs::TraceSpan polish_span("ltv_qp.polish");
   const size_t h = problem.horizon();
   const size_t n = problem.num_vars();
   const size_t m = problem.num_rows();
@@ -401,6 +402,7 @@ bool LtvQpSolver::polish(const LtvQpProblem& problem,
   xp_ = x_;
   bool settled = false;
   for (size_t round = 0; round < kLtvPolishRounds && !settled; ++round) {
+    ++result.polish_rounds;
     assemble_kkt_weighted(problem, psig, w_row_);
     stage_ops += h;
     polish_chol_.factor(pol_diag_, pol_sub_);
@@ -454,6 +456,7 @@ bool LtvQpSolver::polish(const LtvQpProblem& problem,
     }
     settled = nadd == 0 && ndrop == 0;
   }
+  result.polish_capped = !settled;
 
   // Multiplier estimates of the final set AS SOLVED (the repair step
   // may have edited w_row_ after the last solve — estimates against
@@ -523,27 +526,11 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
   const size_t pol_ops_before = polish_chol_.block_ops();
   size_t stage_ops = 0;  // non-factorisation block work (stage matvecs)
 
-  // Warm rho policy (banded refinement): seed the penalty at a
-  // geometric blend rho_warm^0.8 * rho_base^0.2, not at the carried
-  // terminal value itself. The structured problem's equilibrium rho is
-  // ~4 orders of magnitude above the base, and the upward walk acts as
-  // a continuation schedule that does real work; re-entering directly
-  // at a terminal (often overshot) rho measurably stalls — the
-  // deadband of the adaptation keeps rho pinned while the dual creeps.
-  // The blend keeps most of the head start without skipping the
-  // schedule (0.8 measured best over the sweep 0.5..1.0 on the
-  // receding-horizon probes; the even 0.5 mean gives up ~15% of the
-  // warm-start iteration win).
-  constexpr double kWarmRhoBlend = 0.8;
-  // Exact-equality short-circuit: pow(r, 0.8) * pow(r, 0.2) is not
-  // bitwise r, and a 1-ulp rho difference would needlessly void the
-  // cached factorisation on an identical resolve.
-  double rho = options.rho;
-  if (warm.rho > 0.0 && warm.rho != options.rho)
-    rho = std::clamp(
-        std::pow(warm.rho, kWarmRhoBlend) *
-            std::pow(options.rho, 1.0 - kWarmRhoBlend),
-        1e-6, 1e6);
+  // Warm solves re-enter at the carried terminal penalty, as QpSolver
+  // does (see the header): a rho equal to the cached factor's also
+  // keeps the factorisation reusable.
+  double rho = warm.rho > 0.0 ? std::clamp(warm.rho, 1e-6, 1e6)
+                              : options.rho;
 
   gather_bounds(problem);
 
@@ -729,15 +716,18 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
   // to the active-set-exact optimum (its factorisation is kept separate
   // from chol_, so the ADMM factor cache survives and
   // kkt_refactorizations keeps measuring ADMM KKT reuse only).
+  const size_t admm_stage_ops = stage_ops;
   if (options.polish && result.converged)
     polish(problem, options, result, stage_ops);
 
   result.x = x_;
   result.y = y_;
   result.rho_final = rho;
-  result.stage_block_ops = stage_ops +
+  result.polish_block_ops = (stage_ops - admm_stage_ops) +
+                            (polish_chol_.block_ops() - pol_ops_before);
+  result.stage_block_ops = admm_stage_ops +
                            (chol_.block_ops() - chol_ops_before) +
-                           (polish_chol_.block_ops() - pol_ops_before);
+                           result.polish_block_ops;
   return result;
 }
 

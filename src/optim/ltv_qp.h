@@ -27,6 +27,15 @@
 // never the fixed point. tests/test_banded_kkt.cpp pins the two
 // solvers to the same solution on randomised stage problems via
 // ltv_qp_to_dense().
+//
+// Warm starts follow QpSolver exactly: a QpWarmStart with rho > 0
+// starts the solve at clamp(warm.rho, 1e-6, 1e6), the carried terminal
+// penalty. The structured problem's equilibrium rho sits ~4 decades
+// above QpOptions::rho; the cold first solve of a receding-horizon
+// sequence walks up to it (one rebalance per rho_update_interval), and
+// every warm solve after that starts there — typically converging
+// before the first rebalance check, and reusing the cached factor
+// whenever the KKT-relevant data is unchanged too.
 #pragma once
 
 #include <vector>

@@ -118,6 +118,16 @@ struct QpResult {
   /// in kkt_refactorizations — that field measures ADMM KKT reuse — but
   /// its block work is included in stage_block_ops.
   bool polished = false;
+  /// Working-set refinement rounds the polish ran (each one weighted
+  /// KKT assembly + factorisation + solve; 0 when polish did not run).
+  size_t polish_rounds = 0;
+  /// The polish ran out of refinement rounds before its working set
+  /// settled (the ADMM iterates then stand unless the accept test says
+  /// otherwise).
+  bool polish_capped = false;
+  /// The share of stage_block_ops spent in the polish; the remainder is
+  /// ADMM work (iterations, rebalances, warm-seed propagation).
+  size_t polish_block_ops = 0;
 };
 
 /// Reusable ADMM solver. Keep one alive per controller: the workspace

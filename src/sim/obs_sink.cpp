@@ -17,6 +17,10 @@ DiagnosticsSink::Instruments::Instruments(obs::MetricsRegistry& registry,
           registry.counter(prefix + "solver.kkt_refactorizations")),
       stage_block_ops(registry.counter(prefix + "solver.stage_block_ops")),
       qp_polish_hits(registry.counter(prefix + "solver.qp_polish_hits")),
+      qp_polish_rounds(
+          registry.counter(prefix + "solver.qp_polish_rounds")),
+      qp_polish_capped(
+          registry.counter(prefix + "solver.qp_polish_capped")),
       qloss(registry.gauge(prefix + "sim.qloss_percent")),
       duration(registry.gauge(prefix + "sim.duration_s")),
       step_latency_us(registry.histogram(prefix + "sim.step_latency_us",
@@ -66,6 +70,8 @@ void DiagnosticsSink::record(const StepSample& sample) {
   local_.kkt_refactorizations += s.kkt_refactorizations;
   local_.stage_block_ops += s.stage_block_ops;
   local_.qp_polish_hits += s.qp_polish_hits;
+  local_.qp_polish_rounds += s.qp_polish_rounds;
+  local_.qp_polish_capped += s.qp_polish_capped;
   instruments_.solve_latency_us.record(s.solve_time_us);
   // The two transcriptions report different inner-loop counts; record
   // whichever ran so the histograms stay per-solver-family.
@@ -103,6 +109,10 @@ void DiagnosticsSink::end(const core::PlantState&) {
     instruments_.stage_block_ops.add(local_.stage_block_ops);
   if (local_.qp_polish_hits)
     instruments_.qp_polish_hits.add(local_.qp_polish_hits);
+  if (local_.qp_polish_rounds)
+    instruments_.qp_polish_rounds.add(local_.qp_polish_rounds);
+  if (local_.qp_polish_capped)
+    instruments_.qp_polish_capped.add(local_.qp_polish_capped);
   instruments_.qloss.set(local_.qloss_percent);
   instruments_.duration.set(static_cast<double>(local_.steps) * dt_);
 }
@@ -161,6 +171,10 @@ Json JsonlEventSink::step_event(const StepSample& sample, double dt) {
     // Banded KKT path only; 0 (and absent) on the dense/shooting paths.
     if (s.stage_block_ops) solve.set("stage_block_ops", s.stage_block_ops);
     if (s.qp_polish_hits) solve.set("qp_polish_hits", s.qp_polish_hits);
+    if (s.qp_polish_rounds)
+      solve.set("qp_polish_rounds", s.qp_polish_rounds);
+    if (s.qp_polish_capped)
+      solve.set("qp_polish_capped", s.qp_polish_capped);
     solve.set("cost", s.cost);
     solve.set("constraint_violation", s.constraint_violation);
     solve.set("primal_residual", s.primal_residual);

@@ -30,7 +30,8 @@ namespace otem::sim {
 ///               solver.fallbacks, solver.nonconverged,
 ///               solver.qp_rho_updates, solver.qp_warm_hits,
 ///               solver.kkt_refactorizations, solver.stage_block_ops,
-///               solver.qp_polish_hits
+///               solver.qp_polish_hits, solver.qp_polish_rounds,
+///               solver.qp_polish_capped
 ///   gauges      sim.qloss_percent, sim.duration_s
 ///   histograms  sim.step_latency_us, solver.latency_us,
 ///               solver.iterations, solver.qp_iterations,
@@ -50,7 +51,7 @@ class DiagnosticsSink final : public StepSink {
   static constexpr size_t kTimingStride = 64;
 
   /// The resolved instrument references for one name prefix. Resolving
-  /// takes 20 mutex-guarded registry lookups — a fleet shares ONE
+  /// takes 22 mutex-guarded registry lookups — a fleet shares ONE
   /// bundle across all its missions instead of resolving per mission.
   struct Instruments {
     explicit Instruments(obs::MetricsRegistry& registry,
@@ -65,6 +66,8 @@ class DiagnosticsSink final : public StepSink {
     obs::Counter& kkt_refactorizations;
     obs::Counter& stage_block_ops;
     obs::Counter& qp_polish_hits;
+    obs::Counter& qp_polish_rounds;
+    obs::Counter& qp_polish_capped;
     obs::Gauge& qloss;
     obs::Gauge& duration;
     obs::Histogram& step_latency_us;
@@ -118,6 +121,8 @@ class DiagnosticsSink final : public StepSink {
     std::uint64_t kkt_refactorizations = 0;
     std::uint64_t stage_block_ops = 0;
     std::uint64_t qp_polish_hits = 0;
+    std::uint64_t qp_polish_rounds = 0;
+    std::uint64_t qp_polish_capped = 0;
     double qloss_percent = 0.0;
   };
   Local local_;

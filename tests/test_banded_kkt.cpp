@@ -226,6 +226,8 @@ TEST_P(LtvQpSeed, BandedMatchesDenseOracle) {
   const QpResult rb = banded.solve(p, tight_options());
   ASSERT_TRUE(rb.converged);
   EXPECT_GT(rb.stage_block_ops, 0u);
+  EXPECT_EQ(rb.polish_rounds, 0u);  // polish off: no polish telemetry
+  EXPECT_EQ(rb.polish_block_ops, 0u);
 
   QpSolver dense;
   const QpResult rd = dense.solve(ltv_qp_to_dense(p), tight_options());
@@ -277,6 +279,11 @@ TEST_P(LtvQpSeed, PolishSnapsLooseSolveToTightSolution) {
   const QpResult r = banded.solve(p, loose);
   ASSERT_TRUE(r.converged);
   EXPECT_TRUE(r.polished);
+  EXPECT_GT(r.polish_rounds, 0u);
+  EXPECT_FALSE(r.polish_capped);
+  // The polish share is a strict part of the total block work.
+  EXPECT_GT(r.polish_block_ops, 0u);
+  EXPECT_LT(r.polish_block_ops, r.stage_block_ops);
   EXPECT_LT(r.primal_residual, 1e-6);
   EXPECT_LT(r.dual_residual, 1e-6);
   ASSERT_EQ(r.x.size(), oracle.x.size());
@@ -303,6 +310,31 @@ TEST(LtvQpSolver, FactorizationReusedOnIdenticalResolve) {
   warm.rho = first.rho_final;
   const QpResult second = solver.solve(p, opt, warm);
   ASSERT_TRUE(second.converged);
+  EXPECT_EQ(second.kkt_refactorizations, 0u);
+}
+
+TEST(LtvQpSolver, IdenticalWarmResolveKeepsRhoAndFactor) {
+  // Adaptive rho on (the shipped cadence): the cold solve walks rho to
+  // its equilibrium; re-solving the same problem from its own result
+  // must re-enter at exactly that rho, so the cached factor still
+  // matches and nothing is refactorised.
+  Rng rng(11);
+  const LtvQpProblem p = random_ltv_problem(rng, 8);
+  const QpOptions opt = tight_options();
+
+  LtvQpSolver solver;
+  const QpResult first = solver.solve(p, opt);
+  ASSERT_TRUE(first.converged);
+  ASSERT_GT(first.rho_updates, 0u);  // the cold walk actually moved rho
+
+  QpWarmStart warm;
+  warm.x = first.x;
+  warm.y = first.y;
+  warm.rho = first.rho_final;
+  const QpResult second = solver.solve(p, opt, warm);
+  ASSERT_TRUE(second.converged);
+  EXPECT_EQ(second.rho_final, first.rho_final);
+  EXPECT_EQ(second.rho_updates, 0u);
   EXPECT_EQ(second.kkt_refactorizations, 0u);
 }
 

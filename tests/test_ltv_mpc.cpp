@@ -10,6 +10,9 @@
 #include "core/otem/otem_controller.h"
 #include "core/otem/otem_methodology.h"
 #include "sim/simulator.h"
+#include "sim/step_sink.h"
+#include "vehicle/drive_cycle.h"
+#include "vehicle/powertrain.h"
 
 namespace otem::core {
 namespace {
@@ -218,6 +221,48 @@ TEST(LtvController, WarmStartNeverIncreasesIterationsOnRecedingHorizon) {
   EXPECT_LT(warm_total, cold_total);
   EXPECT_GT(warm_ctrl.last_solve().qp_warm_hits, 0u);
   EXPECT_EQ(cold_ctrl.last_solve().qp_warm_hits, 0u);
+}
+
+TEST(LtvController, WarmStepsReenterAtCarriedRho) {
+  // A closed-loop US06 mission at H=30 on the shipped options: once the
+  // cold first step has walked rho to its equilibrium, every warm step
+  // re-enters at the carried penalty and converges without a single
+  // adaptive rebalance. A warm start that re-walks rho from near the
+  // base value instead pays a rebalance (and a refactorisation) per
+  // round, at ~100 ADMM iterations a round.
+  struct RoundTally final : sim::StepSink {
+    size_t warm_steps = 0, warm_iterations = 0, warm_rounds = 0;
+    std::vector<size_t> rebalanced_warm_steps;
+    void begin(const sim::RunContext&) override {}
+    void record(const sim::StepSample& sample) override {
+      const SolveDiagnostics& d = sample.rec.solve;
+      if (!d.present || d.fallback) return;
+      ++warm_steps;
+      warm_iterations += d.qp_iterations;
+      warm_rounds += d.sqp_rounds;
+      if (d.qp_rho_updates) rebalanced_warm_steps.push_back(sample.k);
+    }
+    void end(const PlantState&) override {}
+  };
+
+  const SystemSpec spec = default_spec();
+  const TimeSeries load = vehicle::Powertrain(spec.vehicle)
+                              .power_trace(vehicle::generate(
+                                  vehicle::CycleName::kUs06));
+  OtemMethodology ltv(spec,
+                      std::make_unique<LtvOtemController>(spec, opts(30)));
+  RoundTally tally;
+  sim::RunOptions ropt;
+  ropt.record_trace = false;
+  sim::Simulator(spec).run_with_sinks(ltv, load, ropt, {&tally});
+
+  ASSERT_EQ(tally.warm_steps + 1, load.size());  // only step 0 is cold
+  EXPECT_TRUE(tally.rebalanced_warm_steps.empty())
+      << "first warm step with a rho rebalance: "
+      << tally.rebalanced_warm_steps.front();
+  EXPECT_LE(static_cast<double>(tally.warm_iterations) /
+                static_cast<double>(tally.warm_rounds),
+            60.0);
 }
 
 TEST(LtvController, ResetColdStartsAndReportsFallback) {

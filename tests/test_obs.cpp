@@ -286,6 +286,45 @@ TEST(Events, StepEventGoldenLine) {
   EXPECT_EQ(got, want);
 }
 
+TEST(Events, StepEventGoldenLineBandedFields) {
+  // The banded-KKT-only counters are emitted only when non-zero, in a
+  // fixed order between kkt_refactorizations and cost.
+  core::StepRecord rec;
+  rec.solve.present = true;
+  rec.solve.sqp_rounds = 3;
+  rec.solve.qp_iterations = 15;
+  rec.solve.qp_warm_hits = 3;
+  rec.solve.kkt_refactorizations = 2;
+  rec.solve.stage_block_ops = 4200;
+  rec.solve.qp_polish_hits = 3;
+  rec.solve.qp_polish_rounds = 11;
+  rec.solve.qp_polish_capped = 1;
+  core::PlantState state;
+  state.t_battery_k = 300.0;
+  state.t_coolant_k = 299.0;
+  state.soc_percent = 80.0;
+  state.soe_percent = 50.0;
+  const sim::StepSample sample{0, rec, state, 0.0, 0.0, 0.0};
+  const std::string got =
+      sim::JsonlEventSink::step_event(sample, 1.0).dump(0);
+  const std::string want =
+      "{\"event\":\"step\",\"k\":0,\"t_s\":0,"
+      "\"p_load_w\":0,\"p_cooler_w\":0,\"p_cap_w\":0,"
+      "\"tb_k\":300,\"tc_k\":299,"
+      "\"soc_percent\":80,\"soe_percent\":50,"
+      "\"qloss_percent\":0,\"teb\":0,\"feasible\":true,"
+      "\"step_us\":0,"
+      "\"solve\":{\"converged\":true,\"fallback\":false,"
+      "\"iterations\":0,\"sqp_rounds\":3,\"qp_iterations\":15,"
+      "\"qp_rho_updates\":0,\"qp_warm_hits\":3,"
+      "\"kkt_refactorizations\":2,\"stage_block_ops\":4200,"
+      "\"qp_polish_hits\":3,\"qp_polish_rounds\":11,"
+      "\"qp_polish_capped\":1,\"cost\":0,"
+      "\"constraint_violation\":0,\"primal_residual\":0,"
+      "\"dual_residual\":0,\"latency_us\":0}}";
+  EXPECT_EQ(got, want);
+}
+
 TEST(Events, StepEventOmitsSolveWhenAbsent) {
   core::StepRecord rec;  // solve.present defaults to false
   core::PlantState state;
@@ -364,6 +403,13 @@ TEST(DiagnosticsSink, CapturesSolverDiagnosticsEndToEnd) {
   EXPECT_EQ(snap.histograms.at("solver.qp_iterations_cold").count, 1u);
   EXPECT_GT(snap.counters.at("solver.qp_warm_hits"), steps);
   EXPECT_GE(snap.counters.at("solver.kkt_refactorizations"), steps);
+  // Polish telemetry: every accepted polish ran at least one
+  // working-set round, and a capped polish is a subset of the rounds.
+  EXPECT_GE(snap.counters.at("solver.qp_polish_rounds"),
+            snap.counters.at("solver.qp_polish_hits"));
+  EXPECT_GT(snap.counters.at("solver.qp_polish_hits"), 0u);
+  EXPECT_LE(snap.counters.at("solver.qp_polish_capped"),
+            snap.counters.at("solver.qp_polish_rounds"));
   // The cold step must not out-iterate the average warm step — the
   // whole point of the warm start.
   const obs::Histogram::Snapshot& qp_all =
