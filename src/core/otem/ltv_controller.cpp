@@ -51,7 +51,10 @@ void LtvOtemController::shift_qp_warm_start(size_t n, size_t nu,
 
 /// Banded twin of shift_qp_warm_start(): iterates live in 6-variable /
 /// 11-row stage blocks, so the one-period advance moves whole stages.
-/// The terminal stage keeps the previous horizon-end values.
+/// The terminal stage keeps the previous horizon-end values. A polished
+/// dual stays one after the shift (zero rows stay zero), so
+/// QpWarmStart::polished rides along unchanged and the next polish
+/// starts from the shifted settled working set.
 void LtvOtemController::shift_banded_warm_start(size_t n) {
   optim::Vector& x = qp_warm_.x;
   optim::Vector& y = qp_warm_.y;
@@ -438,10 +441,14 @@ MpcProblem::Controls LtvOtemController::solve(
     ++info_.sqp_rounds;
 
     if (options_.warm_start) {
-      // Terminal iterates seed the next round / next step.
+      // Terminal iterates seed the next round / next step. Only a
+      // polish whose working set settled hands its set on: a capped
+      // one can still be accepted, but its dual names an unsettled set
+      // that the next polish would have to unwind.
       qp_warm_.x = sol.x;
       qp_warm_.y = sol.y;
       qp_warm_.rho = sol.rho_final;
+      qp_warm_.polished = sol.polished && !sol.polish_capped;
       have_qp_warm_ = true;
     }
 

@@ -37,7 +37,8 @@ struct LtvOptions {
   /// Warm-start the ADMM QP with the previous round's / control step's
   /// terminal iterates (shifted one period across steps, like the
   /// incumbent plan) and terminal penalty rho, which the next solve
-  /// starts at. Cold-starts after reset() or on a shape change.
+  /// starts at, plus the settled polish working set the next polish
+  /// starts from. Cold-starts after reset() or on a shape change.
   /// Off reverts to a from-zero solve every round — the A/B switch
   /// bench/perf_solver's BM_LtvControlStep measures.
   bool warm_start = true;

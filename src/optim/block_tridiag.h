@@ -17,13 +17,16 @@
 // Everything is fixed-size SmallMat<N, N> kernel calls, so the whole
 // factorisation is O(H) block operations — this is what replaces the
 // dense O((H n)^3) KKT Cholesky on the LTV-MPC hot path. Solves run two
-// block-bidiagonal sweeps (forward then backward), also O(H).
+// block-bidiagonal sweeps (forward then backward), also O(H). The
+// factorisation keeps each Lam_k's reciprocal pivots, so the trsm step
+// and both sweeps multiply where they would divide.
 //
 // The class counts the fixed-size block-kernel applications it performs
 // (`block_ops()`); the counter is exact and architecture-independent,
 // which is what bench/check_banded.py gates on in CI.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "common/error.h"
@@ -40,7 +43,8 @@ class BlockTridiagCholesky {
   /// Factorise in place: `diag` (H blocks) and `sub` (H-1 blocks, sub[k]
   /// couples stage k+1 rows with stage k columns) are overwritten with
   /// the factor (Lam_k lower triangles in diag, Lt_{k+1} in sub). The
-  /// caller keeps ownership of the storage; this class records views.
+  /// caller keeps ownership of the storage; this class records views
+  /// and owns only the per-block reciprocal pivots.
   /// Throws otem::SimError when a stage block is not SPD.
   void factor(std::vector<Block>& diag, std::vector<Block>& sub) {
     OTEM_REQUIRE(!diag.empty(), "BlockTridiagCholesky: no stages");
@@ -48,12 +52,14 @@ class BlockTridiagCholesky {
                  "BlockTridiagCholesky: need one sub-block per interior stage");
     diag_ = &diag;
     sub_ = &sub;
-    cholesky_factor(diag[0]);
+    inv_pivot_.resize(diag.size());
+    cholesky_factor(diag[0], inv_pivot_[0].data());
     block_ops_ += 1;
     for (size_t k = 1; k < diag.size(); ++k) {
-      trsm_right_lower_transpose(diag[k - 1], sub[k - 1]);
+      trsm_right_lower_transpose(diag[k - 1], inv_pivot_[k - 1].data(),
+                                 sub[k - 1]);
       syrk_sub(diag[k], sub[k - 1]);
-      cholesky_factor(diag[k]);
+      cholesky_factor(diag[k], inv_pivot_[k].data());
       block_ops_ += 3;
     }
     factored_ = true;
@@ -72,16 +78,17 @@ class BlockTridiagCholesky {
     OTEM_REQUIRE(b.size() == stages * N,
                  "BlockTridiagCholesky: rhs size mismatch");
     // Forward sweep: L y = b.
-    forward_subst(diag[0], b.data());
+    forward_subst(diag[0], inv_pivot_[0].data(), b.data());
     for (size_t k = 1; k < stages; ++k) {
       gemv_sub(sub[k - 1], b.data() + (k - 1) * N, b.data() + k * N);
-      forward_subst(diag[k], b.data() + k * N);
+      forward_subst(diag[k], inv_pivot_[k].data(), b.data() + k * N);
     }
     // Backward sweep: L^T x = y.
-    backward_subst(diag[stages - 1], b.data() + (stages - 1) * N);
+    backward_subst(diag[stages - 1], inv_pivot_[stages - 1].data(),
+                   b.data() + (stages - 1) * N);
     for (size_t k = stages - 1; k-- > 0;) {
       gemv_transpose_sub(sub[k], b.data() + (k + 1) * N, b.data() + k * N);
-      backward_subst(diag[k], b.data() + k * N);
+      backward_subst(diag[k], inv_pivot_[k].data(), b.data() + k * N);
     }
     block_ops_ += 4 * stages - 2;
   }
@@ -94,6 +101,7 @@ class BlockTridiagCholesky {
  private:
   std::vector<Block>* diag_ = nullptr;  ///< borrowed factor storage
   std::vector<Block>* sub_ = nullptr;
+  std::vector<std::array<double, N>> inv_pivot_;  ///< 1 / diag(Lam_k)
   bool factored_ = false;
   mutable size_t block_ops_ = 0;
 };

@@ -311,22 +311,25 @@ double LtvQpSolver::dual_residual(const LtvQpProblem& problem,
 }
 
 bool LtvQpSolver::polish(const LtvQpProblem& problem,
-                         const QpOptions& options, QpResult& result,
-                         size_t& stage_ops) {
+                         const QpOptions& options, const Vector* settled_y,
+                         QpResult& result, size_t& stage_ops) {
   const obs::TraceSpan polish_span("ltv_qp.polish");
   const size_t h = problem.horizon();
   const size_t n = problem.num_vars();
   const size_t m = problem.num_rows();
 
-  // Initial working-set guess from the terminal iterates. The dual's
-  // sign (OSQP's rule) names the bound a row pushes against; at a
-  // loose eps a truly active row can also still sit slightly inside
+  // Initial working set. The dual's sign (OSQP's rule) names the bound
+  // a row pushes against, and equality rows are always active. A
+  // carried dual from a settled polish is the previous solve's
+  // settled set: exactly zero on inactive rows, so its signs alone are
+  // the guess. Otherwise the guess comes from the loose-eps ADMM
+  // iterates, where a truly active row can still sit slightly inside
   // its bound with an exactly-zero dual, so bound proximity (at the
-  // accuracy the iterate actually has) marks a row active too.
-  // Equality rows are always active. The guess only has to be close:
-  // the refinement rounds below repair it.
+  // accuracy the iterate actually has) marks a row active too. The
+  // guess only has to be close: the refinement rounds below repair it.
   w_row_.resize(m);
   b_act_.resize(m);
+  const Vector& y_sign = settled_y ? *settled_y : y_;
   const double act_tol =
       10.0 * (options.eps_abs + result.primal_residual);
   for (size_t i = 0; i < m; ++i) {
@@ -336,12 +339,14 @@ bool LtvQpSolver::polish(const LtvQpProblem& problem,
     if (l_[i] == u_[i]) {
       active = true;
       b = l_[i];
-    } else if (y_[i] < 0.0 && lo_ok) {
+    } else if (y_sign[i] < 0.0 && lo_ok) {
       active = true;
       b = l_[i];
-    } else if (y_[i] > 0.0 && hi_ok) {
+    } else if (y_sign[i] > 0.0 && hi_ok) {
       active = true;
       b = u_[i];
+    } else if (settled_y) {
+      // Inactive in the carried set.
     } else if (lo_ok && z_[i] - l_[i] <= act_tol &&
                (!hi_ok || z_[i] - l_[i] <= u_[i] - z_[i])) {
       active = true;
@@ -399,6 +404,7 @@ bool LtvQpSolver::polish(const LtvQpProblem& problem,
   // iterations' work. Duals are NOT carried across rounds: an
   // inconsistent intermediate set would accumulate W * violation per
   // round into them and diverge.
+  const double add_tol = kLtvPolishDropFloor / kLtvPolishWeight;
   xp_ = x_;
   bool settled = false;
   for (size_t round = 0; round < kLtvPolishRounds && !settled; ++round) {
@@ -414,23 +420,25 @@ bool LtvQpSolver::polish(const LtvQpProblem& problem,
     for (size_t i = 0; i < m; ++i)
       if (w_row_[i] != 0.0)
         yp_[i] = kLtvPolishWeight * (ax_[i] - b_act_[i]);
-    // Repair: add every violated row, and drop the wrong-sign rows that
-    // are confidently wrong — at least kLtvPolishDropFrac of the worst
-    // offender this round (peels tiers of comparably-wrong rows
-    // together instead of one per round) and above an absolute noise
-    // floor. The floor matters: a degenerate row (true multiplier 0)
-    // estimates W * O(machine eps), whose sign is coin-flip noise —
-    // dropping it creates a noise-sized violation, the add step pulls
-    // it back, and the set cycles at the finish line forever.
+    // Repair: add every row violated by more than add_tol — the
+    // violation W * add_tol equals the drop floor, so a sub-floor
+    // violation is the same rounding noise the drop rule ignores — and
+    // drop the wrong-sign rows that are confidently wrong: at least
+    // kLtvPolishDropFrac of the worst offender this round (peels tiers
+    // of comparably-wrong rows together instead of one per round) and
+    // above an absolute noise floor. Both floors matter: a degenerate
+    // row (true multiplier 0) estimates W * O(machine eps), whose sign
+    // is coin-flip noise — dropping it, or adding a row it pushes an
+    // ulp past its bound, just cycles the set at the finish line.
     size_t nadd = 0, ndrop = 0;
     double worst = 0.0;
     for (size_t i = 0; i < m; ++i) {
       if (w_row_[i] == 0.0) {
-        if (l_[i] > -kLtvInf && ax_[i] < l_[i]) {
+        if (l_[i] > -kLtvInf && ax_[i] < l_[i] - add_tol) {
           w_row_[i] = kLtvPolishWeight;
           b_act_[i] = l_[i];
           ++nadd;
-        } else if (u_[i] < kLtvInf && ax_[i] > u_[i]) {
+        } else if (u_[i] < kLtvInf && ax_[i] > u_[i] + add_tol) {
           w_row_[i] = kLtvPolishWeight;
           b_act_[i] = u_[i];
           ++nadd;
@@ -534,13 +542,16 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
 
   gather_bounds(problem);
 
-  // Flat per-row penalty vector, refreshed on every rho move: the two
-  // O(m) loops per iteration then index an array instead of paying a
-  // modulo + branch per element.
+  // Flat per-row penalty vector and its reciprocal, refreshed on every
+  // rho move: the two O(m) loops per iteration then index arrays
+  // instead of paying a modulo + branch (and a division) per element.
   auto set_rho_rows = [&](double rho_now) {
     rho_row_.resize(m);
-    for (size_t i = 0; i < m; ++i)
+    inv_rho_row_.resize(m);
+    for (size_t i = 0; i < m; ++i) {
       rho_row_[i] = rho_now * row_rho_scale(i % kLtvStageRows);
+      inv_rho_row_[i] = 1.0 / rho_row_[i];
+    }
   };
 
   // KKT factorisation reuse, with the same contract as QpSolver: an
@@ -652,7 +663,8 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
       const double ri = rho_row_[i];
       const double axi = ax_[i];
       const double axr = options.alpha * axi + (1.0 - options.alpha) * z_[i];
-      const double zi = std::clamp(axr + y_[i] / ri, l_[i], u_[i]);
+      const double zi =
+          std::clamp(axr + y_[i] * inv_rho_row_[i], l_[i], u_[i]);
       z_new_[i] = zi;
       y_[i] += ri * (axr - zi);
       r_prim = std::max(r_prim, std::abs(axi - zi));
@@ -718,7 +730,9 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
   // kkt_refactorizations keeps measuring ADMM KKT reuse only).
   const size_t admm_stage_ops = stage_ops;
   if (options.polish && result.converged)
-    polish(problem, options, result, stage_ops);
+    polish(problem, options,
+           result.warm_started && warm.polished ? &warm.y : nullptr, result,
+           stage_ops);
 
   result.x = x_;
   result.y = y_;

@@ -36,6 +36,16 @@
 // every warm solve after that starts there — typically converging
 // before the first rebalance check, and reusing the cached factor
 // whenever the KKT-relevant data is unchanged too.
+//
+// The active-set polish is warm-started too. An accepted polish whose
+// working set settled leaves y exactly zero on inactive rows, so the
+// sign of a carried dual (QpWarmStart::polished) names the previous
+// solve's settled set — shifted one stage between control steps,
+// unshifted between SQP rounds — and the next polish starts from it
+// instead of guessing from the loose-eps ADMM iterate. A warm polish
+// then typically runs two rounds: one solve of the carried set and
+// the round that confirms it. Cold solves, and warm ones whose dual
+// was not polished, keep the ADMM-terminal guess.
 #pragma once
 
 #include <vector>
@@ -64,12 +74,15 @@ inline constexpr double kLtvRhoStepCap = 10.0;
 /// Penalty weight on active rows during solution polish (the 1/delta of
 /// OSQP's delta-regularised polish KKT, realised here as stiff-penalty
 /// solves inside a working-set refinement loop, finished off by a few
-/// dual-seeded augmented-Lagrangian passes).
+/// dual-seeded augmented-Lagrangian passes). A row's multiplier
+/// estimate is W times its violation.
 inline constexpr double kLtvPolishWeight = 1e6;
 /// Working-set refinement rounds per polish: each solves the set under
 /// a stiff penalty, then adds violated rows / drops wrong-sign
 /// multipliers until the set stabilises (or the round budget runs out
-/// and the accept test keeps the ADMM iterates).
+/// and the accept test keeps the ADMM iterates). A polish seeded from
+/// a carried settled set needs ~2; the cap only bites on cold guesses
+/// far from the answer.
 inline constexpr size_t kLtvPolishRounds = 30;
 /// Wrong-sign multiplier drop rule during refinement: drop every row at
 /// least this fraction of the round's worst offender (tiers of
@@ -77,7 +90,10 @@ inline constexpr size_t kLtvPolishRounds = 30;
 inline constexpr double kLtvPolishDropFrac = 0.3;
 /// ... but never below this absolute magnitude: a degenerate row's
 /// multiplier estimate is W * O(machine eps) with a coin-flip sign, and
-/// dropping it just cycles the set at noise level.
+/// dropping it just cycles the set at noise level. The add rule uses
+/// the same floor: an inactive row joins the set only when violated by
+/// more than kLtvPolishDropFloor / kLtvPolishWeight (1e-9), the
+/// violation whose multiplier estimate the floor would ignore.
 inline constexpr double kLtvPolishDropFloor = 1e-3;
 /// Guarded augmented-Lagrangian passes on the settled working set:
 /// each reuses its factorisation and shrinks the remaining active-row
@@ -160,8 +176,11 @@ class LtvQpSolver {
                        const Vector& y, double& scale);
   /// Active-set polish (see QpOptions::polish): returns true and swaps
   /// the polished iterates into x_/y_/z_ when both residuals improved.
+  /// `settled_y` is the carried dual of a settled polish (warm solves
+  /// with QpWarmStart::polished), whose nonzero rows seed the working
+  /// set; null seeds it from the ADMM terminal iterates.
   bool polish(const LtvQpProblem& problem, const QpOptions& options,
-              QpResult& result, size_t& stage_ops);
+              const Vector* settled_y, QpResult& result, size_t& stage_ops);
 
   // KKT stage blocks + factorisation (factored in place).
   std::vector<SmallMat<kLtvStageVars, kLtvStageVars>> kkt_diag_, kkt_sub_;
@@ -183,10 +202,11 @@ class LtvQpSolver {
   Vector x_, z_, y_;
   Vector rhs_, t_, ax_, z_new_;
   Vector px_, aty_, dres_;
-  // Per-row penalty rho * row_rho_scale, materialised whenever rho
-  // changes so the two O(m) loops per iteration index a flat array
-  // instead of computing a modulo + branch per element.
-  Vector rho_row_;
+  // Per-row penalty rho * row_rho_scale and its reciprocal (the
+  // z-update's 1/rho), materialised whenever rho changes so the two
+  // O(m) loops per iteration index flat arrays instead of computing a
+  // modulo + branch + division per element.
+  Vector rho_row_, inv_rho_row_;
   // Polish scratch: candidate iterates, per-row weights, active bounds.
   Vector xp_, yp_, w_row_, b_act_;
 };

@@ -94,6 +94,11 @@ struct QpWarmStart {
   Vector x;          ///< primal seed (size n, empty = cold)
   Vector y;          ///< dual seed for the l <= Ax <= u rows (size m)
   double rho = 0.0;  ///< initial penalty; 0 uses QpOptions::rho
+  /// y is the dual of an accepted polish whose working set settled
+  /// (QpResult::polished and not polish_capped): exactly zero on
+  /// inactive rows, so the banded polish seeds its working set from
+  /// y's signs. QpSolver ignores it.
+  bool polished = false;
 };
 
 struct QpResult {

@@ -107,10 +107,12 @@ inline void gemv_transpose_sub(const SmallMat<R, C>& a, const double* x,
 
 /// In-place Cholesky a = L L^T of a symmetric positive-definite block;
 /// on return the lower triangle holds L (the strict upper triangle is
-/// left untouched and must be ignored). Throws on a non-SPD pivot, like
-/// the dense Cholesky in optim/decomposition.h.
+/// left untouched and must be ignored) and inv_diag[j] = 1 / L(j, j),
+/// the reciprocal pivots the substitution kernels below multiply by, so
+/// no sweep divides. Throws on a non-SPD pivot, like the dense Cholesky
+/// in optim/decomposition.h.
 template <size_t N>
-inline void cholesky_factor(SmallMat<N, N>& a) {
+inline void cholesky_factor(SmallMat<N, N>& a, double* inv_diag) {
   for (size_t j = 0; j < N; ++j) {
     double d = a.m[j][j];
     for (size_t k = 0; k < j; ++k) d -= a.m[j][k] * a.m[j][k];
@@ -118,6 +120,7 @@ inline void cholesky_factor(SmallMat<N, N>& a) {
     const double ljj = std::sqrt(d);
     a.m[j][j] = ljj;
     const double inv = 1.0 / ljj;
+    inv_diag[j] = inv;
     for (size_t i = j + 1; i < N; ++i) {
       double s = a.m[i][j];
       for (size_t k = 0; k < j; ++k) s -= a.m[i][k] * a.m[j][k];
@@ -126,23 +129,27 @@ inline void cholesky_factor(SmallMat<N, N>& a) {
   }
 }
 
-/// Solve L x = b in place (L = lower triangle of `l`).
+/// Solve L x = b in place (L = lower triangle of `l`, inv_diag its
+/// reciprocal pivots from cholesky_factor).
 template <size_t N>
-inline void forward_subst(const SmallMat<N, N>& l, double* b) {
+inline void forward_subst(const SmallMat<N, N>& l, const double* inv_diag,
+                          double* b) {
   for (size_t i = 0; i < N; ++i) {
     double s = b[i];
     for (size_t k = 0; k < i; ++k) s -= l.m[i][k] * b[k];
-    b[i] = s / l.m[i][i];
+    b[i] = s * inv_diag[i];
   }
 }
 
-/// Solve L^T x = b in place (L = lower triangle of `l`).
+/// Solve L^T x = b in place (L = lower triangle of `l`, inv_diag its
+/// reciprocal pivots).
 template <size_t N>
-inline void backward_subst(const SmallMat<N, N>& l, double* b) {
+inline void backward_subst(const SmallMat<N, N>& l, const double* inv_diag,
+                           double* b) {
   for (size_t ii = N; ii-- > 0;) {
     double s = b[ii];
     for (size_t k = ii + 1; k < N; ++k) s -= l.m[k][ii] * b[k];
-    b[ii] = s / l.m[ii][ii];
+    b[ii] = s * inv_diag[ii];
   }
 }
 
@@ -151,8 +158,9 @@ inline void backward_subst(const SmallMat<N, N>& l, double* b) {
 /// Cholesky, L~ = L_k Lambda^{-T}.
 template <size_t R, size_t N>
 inline void trsm_right_lower_transpose(const SmallMat<N, N>& l,
+                                       const double* inv_diag,
                                        SmallMat<R, N>& b) {
-  for (size_t r = 0; r < R; ++r) forward_subst(l, b.m[r]);
+  for (size_t r = 0; r < R; ++r) forward_subst(l, inv_diag, b.m[r]);
 }
 
 /// out -= x x^T (symmetric rank-K downdate, full block written).

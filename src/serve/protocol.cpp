@@ -104,7 +104,10 @@ Request parse_request(const std::string& line) {
   }
 
   if (const Json* p = doc.find("p_request_w")) {
-    if (!p->is_number()) throw SimError("'p_request_w' must be a number");
+    // 1e400 parses to inf: refuse it here, before it reaches the plant
+    // and poisons the session's accumulated report.
+    if (!p->is_number() || !std::isfinite(p->as_number()))
+      throw SimError("'p_request_w' must be a finite number");
     req.p_request_w = p->as_number();
     req.has_p_request = true;
   }

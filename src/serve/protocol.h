@@ -10,7 +10,7 @@
 //    "cache": "use" | "bypass",                           (optional)
 //    "hex_doubles": bool,                                 (optional)
 //    "session": "<session id>",        (session.step / session.close)
-//    "p_request_w": <number>,          (session.step, optional)
+//    "p_request_w": <finite number>,   (session.step, optional)
 //    "overrides": {"key": "value" | number | bool, ...}}  (optional)
 //
 // `overrides` carries the same key=value vocabulary as the otem_cli

@@ -6,6 +6,7 @@
 // on receding-horizon sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -86,10 +87,12 @@ TEST(SmallMatKernels, CholeskySolveMatchesDense) {
   for (auto& v : b) v = rng.uniform(-2.0, 2.0);
 
   SmallMat<6, 6> fac = spd;
-  cholesky_factor(fac);
+  double inv_pivot[6];
+  cholesky_factor(fac, inv_pivot);
+  for (size_t i = 0; i < 6; ++i) EXPECT_EQ(inv_pivot[i], 1.0 / fac.m[i][i]);
   Vector x = b;
-  forward_subst(fac, x.data());
-  backward_subst(fac, x.data());
+  forward_subst(fac, inv_pivot, x.data());
+  backward_subst(fac, inv_pivot, x.data());
 
   const Vector oracle = Cholesky(dense).solve(b);
   for (size_t i = 0; i < 6; ++i) EXPECT_NEAR(x[i], oracle[i], 1e-10);
@@ -100,22 +103,27 @@ TEST(SmallMatKernels, CholeskyThrowsOnIndefiniteBlock) {
   bad.m[0][0] = 1.0;
   bad.m[0][1] = bad.m[1][0] = 4.0;
   bad.m[1][1] = 1.0;  // eigenvalues 5, -3
-  EXPECT_THROW(cholesky_factor(bad), SimError);
+  double inv_pivot[2];
+  EXPECT_THROW(cholesky_factor(bad, inv_pivot), SimError);
 }
 
 // ---------------------------------------------------------------------------
 // Block-tridiagonal Cholesky vs the dense factorisation.
 
-class BlockTridiagSeed : public ::testing::TestWithParam<int> {};
+constexpr size_t kBlock = 6;
+using Block6 = SmallMat<kBlock, kBlock>;
 
-TEST_P(BlockTridiagSeed, SolveMatchesDenseCholesky) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()));
-  const size_t h = 3 + static_cast<size_t>(GetParam()) % 5;
-  constexpr size_t N = 6;
+/// A random SPD block-tridiagonal K = L L^T, built from a block lower-
+/// bidiagonal L with a dominant diagonal (SPD by construction), in
+/// banded form (diag, sub) and as the dense oracle matrix.
+struct RandomBlockTridiag {
+  std::vector<Block6> diag, sub;
+  Matrix dense;
+};
 
-  // Build K = L L^T from a random block lower-bidiagonal L with a
-  // dominant diagonal, so K is SPD block-tridiagonal by construction.
-  std::vector<SmallMat<N, N>> ldiag(h), lsub(h - 1);
+RandomBlockTridiag random_block_tridiag(Rng& rng, size_t h) {
+  constexpr size_t N = kBlock;
+  std::vector<Block6> ldiag(h), lsub(h - 1);
   for (size_t k = 0; k < h; ++k) {
     ldiag[k] = random_small<N, N>(rng, -0.5, 0.5);
     for (size_t i = 0; i < N; ++i) {
@@ -124,16 +132,17 @@ TEST_P(BlockTridiagSeed, SolveMatchesDenseCholesky) {
     }
     if (k + 1 < h) lsub[k] = random_small<N, N>(rng, -0.5, 0.5);
   }
-  std::vector<SmallMat<N, N>> diag(h), sub(h - 1);
-  Matrix dense(h * N, h * N);
-  auto fill = [&](size_t bi, size_t bj, const SmallMat<N, N>& blk) {
+  RandomBlockTridiag out{std::vector<Block6>(h), std::vector<Block6>(h - 1),
+                         Matrix(h * N, h * N)};
+  auto fill = [&](size_t bi, size_t bj, const Block6& blk) {
     for (size_t i = 0; i < N; ++i)
-      for (size_t j = 0; j < N; ++j) dense(bi * N + i, bj * N + j) = blk.m[i][j];
+      for (size_t j = 0; j < N; ++j)
+        out.dense(bi * N + i, bj * N + j) = blk.m[i][j];
   };
   for (size_t k = 0; k < h; ++k) {
     // Blockwise K = L L^T: D_k = Ld_k Ld_k^T + Ls_{k-1} Ls_{k-1}^T and
     // S_{k+1} = Ls_k Ld_k^T.
-    SmallMat<N, N> d = {};
+    Block6 d = {};
     for (size_t i = 0; i < N; ++i)
       for (size_t j = 0; j < N; ++j) {
         double s = 0.0;
@@ -143,40 +152,74 @@ TEST_P(BlockTridiagSeed, SolveMatchesDenseCholesky) {
             s += lsub[k - 1].m[i][c] * lsub[k - 1].m[j][c];
         d.m[i][j] = s;
       }
-    diag[k] = d;
+    out.diag[k] = d;
     fill(k, k, d);
     if (k + 1 < h) {
-      SmallMat<N, N> s3 = {};
+      Block6 s3 = {};
       for (size_t i = 0; i < N; ++i)
         for (size_t j = 0; j < N; ++j) {
           double acc = 0.0;
           for (size_t c = 0; c < N; ++c) acc += lsub[k].m[i][c] * ldiag[k].m[j][c];
           s3.m[i][j] = acc;
         }
-      sub[k] = s3;
+      out.sub[k] = s3;
       fill(k + 1, k, s3);
       for (size_t i = 0; i < N; ++i)
         for (size_t j = 0; j < N; ++j)
-          dense(k * N + i, (k + 1) * N + j) = s3.m[j][i];
+          out.dense(k * N + i, (k + 1) * N + j) = s3.m[j][i];
     }
   }
+  return out;
+}
 
-  Vector b(h * N);
+// From the single-stage edge to the production horizon (H=30). The
+// sweeps multiply by reciprocal pivots instead of dividing, which only
+// changes rounding: the solve agrees with the dense Cholesky to 1e-12
+// relative.
+class BlockTridiagHorizon : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BlockTridiagHorizon, SolveMatchesDenseCholesky) {
+  const size_t h = GetParam();
+  Rng rng(h);
+  RandomBlockTridiag k = random_block_tridiag(rng, h);
+  Vector b(h * kBlock);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
 
-  BlockTridiagCholesky<N> chol;
-  chol.factor(diag, sub);
+  BlockTridiagCholesky<kBlock> chol;
+  chol.factor(k.diag, k.sub);
   Vector x = b;
   chol.solve_in_place(x);
 
-  const Vector oracle = Cholesky(dense).solve(b);
-  for (size_t i = 0; i < h * N; ++i) EXPECT_NEAR(x[i], oracle[i], 1e-9);
+  const Vector oracle = Cholesky(k.dense).solve(b);
+  double err = 0.0, scale = 0.0;
+  for (size_t i = 0; i < h * kBlock; ++i) {
+    err = std::max(err, std::abs(x[i] - oracle[i]));
+    scale = std::max(scale, std::abs(oracle[i]));
+  }
+  EXPECT_LE(err, 1e-12 * scale);
 
   // The cost counter is exact: 1 + 3(h-1) factor ops, 4h - 2 solve ops.
   EXPECT_EQ(chol.block_ops(), (1 + 3 * (h - 1)) + (4 * h - 2));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BlockTridiagSeed, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Horizons, BlockTridiagHorizon,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{3},
+                                           size_t{4}, size_t{5}, size_t{6},
+                                           size_t{7}, size_t{30}));
+
+TEST(BlockTridiagCholesky, NonSpdBlockStillThrows) {
+  // A negative-definite first block, and an SPD system whose last
+  // Schur complement D_k - Lt_k Lt_k^T goes indefinite.
+  Rng rng(9);
+  RandomBlockTridiag first = random_block_tridiag(rng, 2);
+  for (size_t i = 0; i < kBlock; ++i) first.diag[0].m[i][i] = -1.0;
+  BlockTridiagCholesky<kBlock> chol;
+  EXPECT_THROW(chol.factor(first.diag, first.sub), SimError);
+
+  RandomBlockTridiag last = random_block_tridiag(rng, 3);
+  last.diag[2].m[kBlock - 1][kBlock - 1] = 0.0;
+  EXPECT_THROW(chol.factor(last.diag, last.sub), SimError);
+}
 
 // ---------------------------------------------------------------------------
 // Structured solver vs the dense oracle on randomised stage problems.

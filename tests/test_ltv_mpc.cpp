@@ -265,6 +265,65 @@ TEST(LtvController, WarmStepsReenterAtCarriedRho) {
             60.0);
 }
 
+TEST(LtvController, PolishSettlesFromCarriedWorkingSet) {
+  // Closed-loop US06 at H=30, in the shipped config and the RTI serving
+  // config: every warm polish starts from the previous solve's settled
+  // working set (shifted one stage between steps), so it settles in
+  // about two rounds — one solve of the carried set plus the round that
+  // confirms it. Seeded from the loose-eps ADMM iterates instead, the
+  // polishes ran 5.96 (shipped) and 10.82 (RTI) rounds per warm solve
+  // and hit the round cap 57 and 13 times a mission; dropping either
+  // the carried seed or the repair loop's add floor pushes the mean
+  // back above 4.
+  struct PolishTally final : sim::StepSink {
+    size_t warm_solves = 0, warm_rounds = 0, capped = 0;
+    void begin(const sim::RunContext&) override {}
+    void record(const sim::StepSample& sample) override {
+      const SolveDiagnostics& d = sample.rec.solve;
+      if (!d.present) return;
+      capped += d.qp_polish_capped;
+      if (d.fallback) return;
+      warm_solves += d.qp_warm_hits;
+      warm_rounds += d.qp_polish_rounds;
+    }
+    void end(const PlantState&) override {}
+  };
+  struct Case {
+    const char* name;
+    size_t sqp_iterations;
+    double eps;
+    size_t capped_before;
+  };
+  const LtvOptions shipped;
+  const Case cases[] = {
+      {"shipped", shipped.sqp_iterations, shipped.qp.eps_abs, 57},
+      {"rti", 1, 0.2, 13},
+  };
+
+  const SystemSpec spec = default_spec();
+  const TimeSeries load = vehicle::Powertrain(spec.vehicle)
+                              .power_trace(vehicle::generate(
+                                  vehicle::CycleName::kUs06));
+  for (const Case& c : cases) {
+    LtvOptions lo;
+    lo.sqp_iterations = c.sqp_iterations;
+    lo.qp.eps_abs = lo.qp.eps_rel = c.eps;
+    OtemMethodology ltv(
+        spec, std::make_unique<LtvOtemController>(spec, opts(30), lo));
+    PolishTally tally;
+    sim::RunOptions ropt;
+    ropt.record_trace = false;
+    sim::Simulator(spec).run_with_sinks(ltv, load, ropt, {&tally});
+
+    ASSERT_GT(tally.warm_solves, 0u) << c.name;
+    EXPECT_LE(static_cast<double>(tally.warm_rounds) /
+                  static_cast<double>(tally.warm_solves),
+              2.5)
+        << c.name;
+    EXPECT_LE(tally.capped, c.capped_before) << c.name;
+  }
+}
+
 TEST(LtvController, ResetColdStartsAndReportsFallback) {
   const SystemSpec spec = default_spec();
   LtvOtemController ctrl(spec, opts(10));

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +145,39 @@ TEST(ServeSession, ExplicitPowerRequestOverridesTheRouteForecast) {
   const Json step = ok_result(server.handle_line(
       step_request(sid, ",\"p_request_w\":12345.5")));
   EXPECT_EQ(step.find("p_request_w")->as_number(), 12345.5);
+}
+
+/// Every number in `doc` is finite and no value is null (the JSON
+/// writer prints a non-finite double as null).
+void expect_all_finite(const Json& doc, const std::string& path) {
+  EXPECT_FALSE(doc.is_null()) << path << " is null";
+  if (doc.is_number()) {
+    EXPECT_TRUE(std::isfinite(doc.as_number())) << path;
+  }
+  for (const auto& [key, value] : doc.members())
+    expect_all_finite(value, path + "." + key);
+  for (size_t i = 0; i < doc.items().size(); ++i)
+    expect_all_finite(doc.items()[i], path + "[" + std::to_string(i) + "]");
+}
+
+TEST(ServeSession, NonFinitePowerRequestIsRefusedAtTheWire) {
+  Server server(session_test_options());
+  const std::string sid = session_id_of(ok_result(
+      server.handle_line(open_request())));
+  ok_result(server.handle_line(step_request(sid)));
+  // 1e400 overflows to +-inf when parsed.
+  EXPECT_EQ(error_code_of(server.handle_line(
+                step_request(sid, ",\"p_request_w\":1e400"))),
+            "bad_request");
+  EXPECT_EQ(error_code_of(server.handle_line(
+                step_request(sid, ",\"p_request_w\":-1e400"))),
+            "bad_request");
+  ok_result(server.handle_line(step_request(sid)));
+  const Json closed = ok_result(server.handle_line(close_request(sid)));
+  EXPECT_EQ(closed.find("steps")->as_number(), 2.0);
+  const Json* report = closed.find("report");
+  ASSERT_NE(report, nullptr);
+  expect_all_finite(*report, "report");
 }
 
 TEST(ServeSession, SteppingPastTheRouteWithoutARequestIsABadRequest) {
