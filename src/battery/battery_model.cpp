@@ -36,33 +36,34 @@ double PackModel::internal_resistance(double soc_percent,
          params_.parallel;
 }
 
-double PackModel::open_circuit_voltage_dsoc(double soc_percent) const {
-  const CellParams& c = params_.cell;
-  const double s = std::clamp(soc_percent, 0.0, 100.0) / 100.0;
-  const double s2 = s * s;
-  const double dcell_ds = c.v1 * c.v2 * fastmath::exp(c.v2 * s) +
-                          4.0 * c.v3 * s2 * s + 3.0 * c.v4 * s2 +
-                          2.0 * c.v5 * s + c.v6;
-  // Chain rule: s = soc/100.
-  return params_.series * dcell_ds / 100.0;
-}
-
-double PackModel::internal_resistance_dsoc(double soc_percent,
-                                           double temp_k) const {
-  const CellParams& c = params_.cell;
-  const double s = std::clamp(soc_percent, 0.0, 100.0) / 100.0;
-  const double arrhenius = cellmath::r_arrhenius(c, temp_k);
-  const double dr25_ds = c.r1 * c.r2 * fastmath::exp(c.r2 * s);
-  return dr25_ds * arrhenius / 100.0 * params_.series / params_.parallel;
-}
-
-double PackModel::internal_resistance_dtemp(double soc_percent,
+PackModel::Electrical PackModel::electrical(double soc_percent,
                                             double temp_k) const {
+  OTEM_REQUIRE(temp_k > 100.0, "battery temperature must be in kelvin");
+  const CellParams& c = params_.cell;
+  const double s = cellmath::unit_soc(soc_percent);
+  const double s2 = s * s;
+  const double exp_v = fastmath::exp(c.v2 * s);
+  const double exp_r = fastmath::exp(c.r2 * s);
+  const double arrhenius = cellmath::r_arrhenius(c, temp_k);
+
+  // voc and r follow open_circuit_voltage / internal_resistance's
+  // expressions and aggregation order, so they match bit for bit.
+  Electrical e;
+  e.voc = params_.series * cellmath::voc_at(c, s, exp_v);
+  const double dcell_ds = c.v1 * c.v2 * exp_v + 4.0 * c.v3 * s2 * s +
+                          3.0 * c.v4 * s2 + 2.0 * c.v5 * s + c.v6;
+  // Chain rule: s = soc/100.
+  e.dvoc_dsoc = params_.series * dcell_ds / 100.0;
+
+  e.r = cellmath::r25_at(c, exp_r) * arrhenius * params_.series /
+        params_.parallel;
+  const double dr25_ds = c.r1 * c.r2 * exp_r;
+  e.dr_dsoc =
+      dr25_ds * arrhenius / 100.0 * params_.series / params_.parallel;
   // d/dT exp(k (1/T - 1/Tref)) = -k/T^2 * exp(...)
-  const double r = internal_resistance(soc_percent, temp_k);
-  const double k =
-      params_.cell.resistance_activation_j_mol / constants::kGasConstant;
-  return -r * k / (temp_k * temp_k);
+  const double k = c.resistance_activation_j_mol / constants::kGasConstant;
+  e.dr_dtemp = -e.r * k / (temp_k * temp_k);
+  return e;
 }
 
 double PackModel::nominal_energy_j() const {

@@ -44,15 +44,20 @@ class PackModel {
   /// Pack internal resistance [ohm] (series/parallel aggregation).
   double internal_resistance(double soc_percent, double temp_k) const;
 
-  // --- analytic partial derivatives (for the MPC adjoint) -----------------
-  /// d(pack Voc)/d(SoC percent) [V/%].
-  double open_circuit_voltage_dsoc(double soc_percent) const;
+  /// Pack Voc and R at one (SoC, T) point with their analytic partial
+  /// derivatives — what the MPC rollout and its adjoint need per step.
+  struct Electrical {
+    double voc = 0.0;        ///< pack open-circuit voltage [V]
+    double dvoc_dsoc = 0.0;  ///< d(pack Voc)/d(SoC percent) [V/%]
+    double r = 0.0;          ///< pack internal resistance [ohm]
+    double dr_dsoc = 0.0;    ///< d(pack R)/d(SoC percent) [ohm/%]
+    double dr_dtemp = 0.0;   ///< d(pack R)/d(T) [ohm/K]
+  };
 
-  /// d(pack R)/d(SoC percent) [ohm/%].
-  double internal_resistance_dsoc(double soc_percent, double temp_k) const;
-
-  /// d(pack R)/d(T) [ohm/K].
-  double internal_resistance_dtemp(double soc_percent, double temp_k) const;
+  /// All of Electrical from three exps (exp(v2 s), exp(r2 s) and the
+  /// Arrhenius factor), each evaluated once. `voc` and `r` are
+  /// bit-identical to open_circuit_voltage / internal_resistance.
+  Electrical electrical(double soc_percent, double temp_k) const;
 
   /// Pack capacity [Ah].
   double capacity_ah() const { return params_.capacity_ah(); }

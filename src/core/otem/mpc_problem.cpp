@@ -23,6 +23,13 @@ constexpr double kPowerScale = 2000.0;
 // Floor on the discriminant of the battery power->current solve,
 // relative to Voc^2; C6 penalties keep iterates away from this region.
 constexpr double kDiscFloorFrac = 1e-4;
+
+// The C-rate stress factor of the fade law, c_rate^l3. The paper's fit
+// has l3 = 1, where pow(x, 1) == x exactly (IEEE 754): the shortcut
+// skips a libm call per rollout step without moving a bit.
+double fade_stress(double c_rate, double l3) {
+  return l3 == 1.0 ? c_rate : std::pow(c_rate, l3);
+}
 }  // namespace
 
 MpcOptions MpcOptions::from_config(const Config& cfg) {
@@ -171,8 +178,10 @@ double MpcProblem::evaluate(const optim::Vector& z, optim::Vector& c_out) {
     const double p_bb = load - s.u_cap;
 
     // --- battery branch ---------------------------------------------------
-    s.v_b = battery_.open_circuit_voltage(s.soc);
-    s.dvb_dsoc = battery_.open_circuit_voltage_dsoc(s.soc);
+    const battery::PackModel::Electrical el =
+        battery_.electrical(s.soc, s.tb);
+    s.v_b = el.voc;
+    s.dvb_dsoc = el.dvoc_dsoc;
     const double eta_b = bat_conv_.efficiency(s.v_b);
     s.deta_b_dv = bat_conv_.efficiency_dv(s.v_b);
     if (p_bb >= 0.0) {
@@ -185,9 +194,9 @@ double MpcProblem::evaluate(const optim::Vector& z, optim::Vector& c_out) {
       s.dpbs_deta = p_bb;
     }
 
-    s.r = battery_.internal_resistance(s.soc, s.tb);
-    s.dr_dsoc = battery_.internal_resistance_dsoc(s.soc, s.tb);
-    s.dr_dtb = battery_.internal_resistance_dtemp(s.soc, s.tb);
+    s.r = el.r;
+    s.dr_dsoc = el.dr_dsoc;
+    s.dr_dtb = el.dr_dtemp;
 
     const double disc = s.v_b * s.v_b - 4.0 * s.r * s.p_bs;
     const double disc_floor = kDiscFloorFrac * s.v_b * s.v_b;
@@ -215,7 +224,7 @@ double MpcProblem::evaluate(const optim::Vector& z, optim::Vector& c_out) {
     const double c_rate = i_pos / cell_cap;
     const double arr =
         std::exp(-cell.l2 / (constants::kGasConstant * s.tb));
-    s.qloss = cell.l1 * arr * std::pow(c_rate, cell.l3) * dt;
+    s.qloss = cell.l1 * arr * fade_stress(c_rate, cell.l3) * dt;
     s.dqloss_dtb =
         s.qloss * cell.l2 / (constants::kGasConstant * s.tb * s.tb);
     s.dqloss_di = s.qloss * cell.l3 * di_pos / i_pos;
@@ -269,7 +278,7 @@ double MpcProblem::evaluate(const optim::Vector& z, optim::Vector& c_out) {
     const double rate =
         cell.l1 *
         std::exp(-cell.l2 / (constants::kGasConstant * x.t_battery_k)) *
-        std::pow(std::max(tail_c_rate_, 1e-6), cell.l3);
+        fade_stress(std::max(tail_c_rate_, 1e-6), cell.l3);
     cost_.terminal +=
         w.w2 * rate * options_.terminal_aging_tail_s;
   }
@@ -362,7 +371,7 @@ void MpcProblem::gradient(const optim::Vector& z, const optim::Vector& w,
     const double rate =
         cell.l1 *
         std::exp(-cell.l2 / (constants::kGasConstant * tb_n)) *
-        std::pow(std::max(tail_c_rate_, 1e-6), cell.l3);
+        fade_stress(std::max(tail_c_rate_, 1e-6), cell.l3);
     // d/dT exp(-l2/(R T)) = exp(...) * l2 / (R T^2)
     a_tb += wt.w2 * rate * options_.terminal_aging_tail_s * cell.l2 /
             (constants::kGasConstant * tb_n * tb_n);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "obs/trace.h"
 
 namespace otem::core {
 
@@ -38,6 +39,7 @@ void OtemController::reset() {
 
 MpcProblem::Controls OtemController::solve(
     const PlantState& state, const std::vector<double>& p_e_window) {
+  const obs::TraceSpan solve_span("otem.solve");
   problem_.set_window(state, p_e_window);
 
   const size_t dim = problem_.dim();

@@ -1,7 +1,5 @@
 #include "hees/converter.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace otem::hees {
@@ -27,20 +25,6 @@ ConverterParams ConverterParams::from_config(const Config& cfg,
 Converter::Converter(ConverterParams params) : params_(params) {
   OTEM_REQUIRE(params_.nominal_voltage > 0.0,
                "converter nominal voltage must be positive");
-}
-
-double Converter::efficiency(double v) const {
-  const double sag = 1.0 - v / params_.nominal_voltage;
-  const double eta = params_.eta_max - params_.droop * sag * sag;
-  return std::clamp(eta, params_.eta_min, params_.eta_max);
-}
-
-double Converter::efficiency_dv(double v) const {
-  const double sag = 1.0 - v / params_.nominal_voltage;
-  const double eta = params_.eta_max - params_.droop * sag * sag;
-  // Efficiency is locally constant in the eta_min clamp region.
-  if (eta < params_.eta_min) return 0.0;
-  return 2.0 * params_.droop * sag / params_.nominal_voltage;
 }
 
 double Converter::storage_power_for_bus(double p_bus, double v) const {

@@ -12,6 +12,8 @@
 // Sign convention: positive storage power = discharge toward the bus.
 #pragma once
 
+#include <algorithm>
+
 #include "common/config.h"
 
 namespace otem::hees {
@@ -34,11 +36,22 @@ class Converter {
 
   const ConverterParams& params() const { return params_; }
 
-  /// eta(V) — smooth except at the eta_min clamp.
-  double efficiency(double v) const;
+  /// eta(V) — smooth except at the eta_min clamp. Inline: the MPC
+  /// rollout evaluates it (and efficiency_dv) twice per horizon step.
+  double efficiency(double v) const {
+    const double sag = 1.0 - v / params_.nominal_voltage;
+    const double eta = params_.eta_max - params_.droop * sag * sag;
+    return std::clamp(eta, params_.eta_min, params_.eta_max);
+  }
 
   /// d eta / dV (0 in the clamped region).
-  double efficiency_dv(double v) const;
+  double efficiency_dv(double v) const {
+    const double sag = 1.0 - v / params_.nominal_voltage;
+    const double eta = params_.eta_max - params_.droop * sag * sag;
+    // Efficiency is locally constant in the eta_min clamp region.
+    if (eta < params_.eta_min) return 0.0;
+    return 2.0 * params_.droop * sag / params_.nominal_voltage;
+  }
 
   /// Storage-side power required/absorbed for a bus-side power request.
   /// p_bus >= 0 (deliver to bus): storage supplies p_bus / eta.

@@ -159,22 +159,41 @@ TEST(BatteryPack, DerivativesMatchFiniteDifferences) {
   const PackModel pack = default_pack();
   const double h = 1e-5;
   for (double soc : {30.0, 55.0, 80.0}) {
+    const PackModel::Electrical e = pack.electrical(soc, kRoom);
     const double dv_fd = (pack.open_circuit_voltage(soc + h) -
                           pack.open_circuit_voltage(soc - h)) /
                          (2.0 * h);
-    EXPECT_NEAR(pack.open_circuit_voltage_dsoc(soc), dv_fd, 1e-6);
+    EXPECT_NEAR(e.dvoc_dsoc, dv_fd, 1e-6);
 
     const double dr_fd = (pack.internal_resistance(soc + h, kRoom) -
                           pack.internal_resistance(soc - h, kRoom)) /
                          (2.0 * h);
-    EXPECT_NEAR(pack.internal_resistance_dsoc(soc, kRoom), dr_fd, 1e-8);
+    EXPECT_NEAR(e.dr_dsoc, dr_fd, 1e-8);
 
     const double ht = 1e-3;
     const double drt_fd = (pack.internal_resistance(soc, kRoom + ht) -
                            pack.internal_resistance(soc, kRoom - ht)) /
                           (2.0 * ht);
-    EXPECT_NEAR(pack.internal_resistance_dtemp(soc, kRoom), drt_fd, 1e-9);
+    EXPECT_NEAR(e.dr_dtemp, drt_fd, 1e-9);
   }
+}
+
+TEST(BatteryPack, ElectricalMatchesScalarQueries) {
+  // The MPC rollout reads Voc and R from the fused query; the plant
+  // reads them from the scalar ones. Both must agree bit for bit,
+  // including at and beyond the SoC clamp edges.
+  const PackModel pack = default_pack();
+  for (double soc : {-5.0, 0.0, 0.3, 12.5, 50.0, 77.7, 99.9, 100.0, 105.0}) {
+    for (double t = 250.0; t <= 330.0; t += 10.0) {
+      const PackModel::Electrical e = pack.electrical(soc, t);
+      EXPECT_EQ(e.voc, pack.open_circuit_voltage(soc))
+          << "soc=" << soc << " T=" << t;
+      EXPECT_EQ(e.r, pack.internal_resistance(soc, t))
+          << "soc=" << soc << " T=" << t;
+    }
+  }
+  EXPECT_THROW(pack.electrical(50.0, 100.0), SimError);
+  EXPECT_THROW(pack.electrical(50.0, 25.0), SimError);
 }
 
 // --- capacity fade ------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "common/rng.h"
 #include "core/otem/mpc_problem.h"
@@ -121,14 +122,19 @@ TEST(MpcProblem, UltracapDischargeReducesBatteryEnergyTerm) {
 
 // The central test: adjoint gradient of (cost + w . c) vs central
 // finite differences, across states, loads and random weight vectors.
-class MpcGradientTest : public ::testing::TestWithParam<int> {};
+// Parameterised by (seed, fade exponent l3): the rollout shortcuts the
+// fade law's pow at the paper's l3 = 1, so a second exponent keeps the
+// general pow branch differentiated too.
+class MpcGradientTest
+    : public ::testing::TestWithParam<std::tuple<int, double>> {};
 
 TEST_P(MpcGradientTest, AdjointMatchesFiniteDifferences) {
-  const int seed = GetParam();
+  const auto [seed, l3] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
 
   const size_t horizon = 4 + static_cast<size_t>(rng.below(8));
   SystemSpec spec = default_spec();
+  spec.battery.cell.l3 = l3;
   MpcOptions opt = small_options(horizon);
   if (seed % 3 == 0) opt.terminal_soe_weight = 0.5;
   MpcProblem prob(spec, opt);
@@ -173,10 +179,13 @@ TEST_P(MpcGradientTest, AdjointMatchesFiniteDifferences) {
     best_err = std::min(
         best_err, optim::gradient_max_rel_error(scalar, z, analytic, 1e-6));
   }
-  EXPECT_LT(best_err, 2e-4) << "horizon=" << horizon << " seed=" << seed;
+  EXPECT_LT(best_err, 2e-4)
+      << "horizon=" << horizon << " seed=" << seed << " l3=" << l3;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MpcGradientTest, ::testing::Range(0, 24));
+INSTANTIATE_TEST_SUITE_P(Seeds, MpcGradientTest,
+                         ::testing::Combine(::testing::Range(0, 24),
+                                            ::testing::Values(1.0, 0.8)));
 
 TEST(MpcProblem, AdjointTightAtSmoothPoint) {
   // Hand-picked interior point away from every kink: moderate SoC/SoE,

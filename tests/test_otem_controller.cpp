@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "core/otem/otem_controller.h"
+#include "sim/report.h"
+#include "sim/scenario.h"
 
 namespace otem::core {
 namespace {
@@ -118,6 +120,68 @@ TEST(OtemController, DeterministicAcrossInstances) {
   const auto ub = b.solve(x, load);
   EXPECT_DOUBLE_EQ(ua.p_cap_bus_w, ub.p_cap_bus_w);
   EXPECT_DOUBLE_EQ(ua.p_cooler_w, ub.p_cooler_w);
+}
+
+// Full-mission golden for both MPC controllers. The shooting rollout
+// (MpcProblem::evaluate/linearize) is a hot kernel that gets rewritten
+// for speed; every such rewrite must keep the same expressions in the
+// same association order, so the closed loop does not move a single
+// bit. The strings below are run_result_to_hex_json of a short US06
+// run (reduced horizon and iterations, as in test_scenario_engine.cpp)
+// recorded before the fused PackModel::electrical query replaced the
+// per-quantity calls. They pin IEEE-754 results of an x86-64 GCC/glibc
+// build; a different libm may legitimately move the last bits, in which
+// case re-record them from a commit whose rollout is known unchanged.
+std::string us06_hex_report(const std::string& method) {
+  Config cfg;
+  cfg.set_pair("otem.horizon=8");
+  cfg.set_pair("otem.solver.adam_iterations=40");
+  cfg.set_pair("otem.solver.outer_iterations=2");
+  sim::Scenario sc;
+  sc.methodology = method;
+  sc.cycle = "US06";
+  return sim::run_result_to_hex_json(sim::run_scenario(sc, cfg).result)
+      .dump(0);
+}
+
+TEST(OtemController, Us06ReportMatchesGolden) {
+  EXPECT_EQ(us06_hex_report("otem"),
+      R"({"duration_s":"4081980000000000",)"
+      R"("qloss_percent":"3f32dd2d89ce1247",)"
+      R"("energy_hees_j":"416656c6f391c490",)"
+      R"("energy_battery_j":"413b00011165a707",)"
+      R"("energy_cap_j":"4162f6c6d1650faf",)"
+      R"("energy_cooling_j":"411cc514658d6457",)"
+      R"("energy_loss_j":"412fd7c8ba5eecc1",)"
+      R"("average_power_w":"40d450bc345abaf1",)"
+      R"("max_t_battery_k":"4072a000bef7e08a",)"
+      R"("thermal_violation_s":"0000000000000000",)"
+      R"("infeasible_steps":0,)"
+      R"("unserved_energy_j":"3e233ddeadf00000",)"
+      R"("final_state":{"t_battery_k":"40728a38deecd913",)"
+      R"("t_coolant_k":"4072894205f5a395",)"
+      R"("soc_percent":"40585e0be3c115be",)"
+      R"("soe_percent":"403652d5bcd8d669"}})");
+}
+
+TEST(LtvOtemController, Us06ReportMatchesGolden) {
+  EXPECT_EQ(us06_hex_report("otem-ltv"),
+      R"({"duration_s":"4081980000000000",)"
+      R"("qloss_percent":"3f444b7c35699336",)"
+      R"("energy_hees_j":"4166673c81c5a7b3",)"
+      R"("energy_battery_j":"413b6b77f1473f7d",)"
+      R"("energy_cap_j":"4162f9cd839cbfc3",)"
+      R"("energy_cooling_j":"4113a9453271bbdb",)"
+      R"("energy_loss_j":"4132b6849b957993",)"
+      R"("average_power_w":"40d45fb411fb23a6",)"
+      R"("max_t_battery_k":"4072a5ae27d768a0",)"
+      R"("thermal_violation_s":"0000000000000000",)"
+      R"("infeasible_steps":0,)"
+      R"("unserved_energy_j":"3e1aaa7000000000",)"
+      R"("final_state":{"t_battery_k":"4072a5759b9f94a4",)"
+      R"("t_coolant_k":"4072a31ff5734233",)"
+      R"("soc_percent":"40585be946d63af9",)"
+      R"("soe_percent":"40364670950b4494"}})");
 }
 
 TEST(OtemSolverOptions, ConfigOverrides) {
