@@ -15,7 +15,7 @@ chrome://tracing / ui.perfetto.dev expect —
     parents — but args.id/args.parent/args.depth must be present);
   - with --require NAME (repeatable), at least one event with that
     exact name exists — CI requires the scenario.run -> ltv.solve ->
-    qp.factorize chain to prove every layer's spans survived to disk.
+    ltv_qp.solve chain to prove every layer's spans survived to disk.
 
 Usage: check_trace.py TRACE.json [--require scenario.run ...]
 Exit code 1 on any violation, with a reason on stderr.

@@ -3,16 +3,12 @@
 // baseline at threads=1), the same fleet with full instrumentation
 // attached (BM_FleetEvaluateMetrics) and with the span tracer enabled
 // on top (BM_FleetEvaluateTraced) — both held to the <5 % overhead
-// budget CI enforces via bench/check_overhead.py — the ADMM QP hot
-// path (cold
-// one-shot vs a warm persistent QpSolver workspace, ns per ADMM
-// iteration), and the obs primitives themselves (counter add,
-// histogram record, scoped timer). bench/run_benchmarks.sh wraps this
-// binary and emits BENCH_fleet.json so successive PRs have a perf
-// trajectory to regress against.
+// budget CI enforces via bench/check_overhead.py — and the obs
+// primitives themselves (counter add, histogram record, scoped timer).
+// bench/run_benchmarks.sh wraps this binary and emits BENCH_fleet.json
+// so successive PRs have a perf trajectory to regress against.
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
 #include <memory>
 
 #include "core/parallel_methodology.h"
@@ -21,7 +17,6 @@
 #include "obs/sketch.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
-#include "optim/qp.h"
 #include "sim/fleet.h"
 
 namespace {
@@ -237,80 +232,6 @@ void BM_ObsScopedTimerDisabled(benchmark::State& state) {
   obs::set_enabled(true);
 }
 BENCHMARK(BM_ObsScopedTimerDisabled);
-
-/// A QP shaped like the LTV-MPC subproblem at the given horizon:
-/// nu = 2h decision variables, nu box rows plus 4h banded state rows.
-optim::QpProblem mpc_shaped_qp(size_t horizon) {
-  const size_t nu = 2 * horizon;
-  const size_t rows = nu + 4 * horizon;
-  optim::QpProblem p;
-  p.p = optim::Matrix(nu, nu);
-  p.q.assign(nu, 0.0);
-  for (size_t i = 0; i < nu; ++i) {
-    p.p(i, i) = 0.05 + 0.01 * static_cast<double>(i % 7);
-    p.q[i] = (i % 2 == 0) ? -0.02 : 0.015;
-  }
-  p.a = optim::Matrix(rows, nu);
-  p.l.assign(rows, 0.0);
-  p.u.assign(rows, 0.0);
-  for (size_t i = 0; i < nu; ++i) {
-    p.a(i, i) = 1.0;
-    p.l[i] = -1.0;
-    p.u[i] = 1.0;
-  }
-  // State rows: causal (lower-banded) sensitivity pattern with decaying
-  // influence of older controls, equilibrated to unit row norm.
-  for (size_t k = 0; k < horizon; ++k) {
-    for (size_t j = 0; j < 4; ++j) {
-      const size_t r = nu + 4 * k + j;
-      for (size_t col = 0; col <= 2 * k + 1; ++col) {
-        const double age = static_cast<double>(2 * k + 1 - col);
-        p.a(r, col) = ((col + j) % 3 == 0 ? 1.0 : -0.4) /
-                      (1.0 + 0.35 * age);
-      }
-      p.l[r] = -0.8 - 0.05 * static_cast<double>(j);
-      p.u[r] = 0.9;
-    }
-  }
-  return p;
-}
-
-/// One-shot solve_qp: pays the full workspace allocation every call.
-void BM_QpSolveCold(benchmark::State& state) {
-  const optim::QpProblem p =
-      mpc_shaped_qp(static_cast<size_t>(state.range(0)));
-  optim::QpOptions opt;
-  opt.eps_abs = 1e-4;
-  opt.eps_rel = 1e-4;
-  std::int64_t total_iters = 0;
-  for (auto _ : state) {
-    const optim::QpResult r = optim::solve_qp(p, opt);
-    total_iters += static_cast<std::int64_t>(r.iterations);
-    benchmark::DoNotOptimize(r.primal_residual);
-  }
-  state.SetItemsProcessed(total_iters);  // items/s = ADMM iterations/s
-}
-BENCHMARK(BM_QpSolveCold)->Arg(10)->Arg(30)->Arg(60);
-
-/// Persistent QpSolver: the workspace (KKT matrix, factorisation,
-/// iterate buffers) is reused across solves, the steady state of an MPC
-/// controller calling the solver every step.
-void BM_QpSolveWarm(benchmark::State& state) {
-  const optim::QpProblem p =
-      mpc_shaped_qp(static_cast<size_t>(state.range(0)));
-  optim::QpOptions opt;
-  opt.eps_abs = 1e-4;
-  opt.eps_rel = 1e-4;
-  optim::QpSolver solver;
-  std::int64_t total_iters = 0;
-  for (auto _ : state) {
-    const optim::QpResult r = solver.solve(p, opt);
-    total_iters += static_cast<std::int64_t>(r.iterations);
-    benchmark::DoNotOptimize(r.primal_residual);
-  }
-  state.SetItemsProcessed(total_iters);
-}
-BENCHMARK(BM_QpSolveWarm)->Arg(10)->Arg(30)->Arg(60);
 
 }  // namespace
 

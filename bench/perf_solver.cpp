@@ -1,7 +1,7 @@
 // perf_solver — google-benchmark microbenchmarks of the optimisation
 // stack: MPC rollout (forward + adjoint), full augmented-Lagrangian
-// solves across horizons, the dense QP solver cold vs warm-started,
-// and the LTV control step with and without ADMM warm starts.
+// solves across horizons, and the LTV control step with and without
+// ADMM warm starts.
 // Establishes the real-time budget of the controller (the paper's MPC
 // must run every second on an automotive ECU) and records the
 // iteration savings bench/check_warm_start.py gates on in CI.
@@ -15,7 +15,6 @@
 #include "core/otem/otem_controller.h"
 #include "obs/sketch.h"
 #include "obs/timer.h"
-#include "optim/qp.h"
 
 namespace {
 
@@ -84,33 +83,6 @@ void BM_OtemSolve(benchmark::State& state) {
 BENCHMARK(BM_OtemSolve)->Arg(10)->Arg(30)->Arg(60)->Unit(
     benchmark::kMillisecond);
 
-void BM_QpSolve(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  optim::QpProblem p;
-  p.p = optim::Matrix::identity(n);
-  for (size_t i = 0; i + 1 < n; ++i) {
-    p.p(i, i + 1) = 0.25;
-    p.p(i + 1, i) = 0.25;
-  }
-  p.q.assign(n, -1.0);
-  p.a = optim::Matrix::identity(n);
-  p.l.assign(n, 0.0);
-  p.u.assign(n, 0.7);
-  double total_iters = 0.0;
-  double total_rho = 0.0;
-  for (auto _ : state) {
-    const optim::QpResult r = optim::solve_qp(p);
-    total_iters += static_cast<double>(r.iterations);
-    total_rho += static_cast<double>(r.rho_updates);
-    benchmark::DoNotOptimize(r.primal_residual);
-  }
-  state.counters["admm_iters"] = benchmark::Counter(
-      total_iters, benchmark::Counter::kAvgIterations);
-  state.counters["rho_updates"] = benchmark::Counter(
-      total_rho, benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_QpSolve)->Arg(10)->Arg(40)->Arg(120);
-
 // Median of a sample set (gbenchmark counters only aggregate means, so
 // the per-step median the acceptance gate reads is computed here).
 double median_of(std::vector<double> samples) {
@@ -120,74 +92,19 @@ double median_of(std::vector<double> samples) {
   return samples[mid];
 }
 
-// A receding-horizon QP sequence: same constraint matrix A every step,
-// slowly drifting q and bounds (what the LTV controller produces once
-// the linearisation settles). Arg(1) selects cold (0: a fresh solve
-// from zero each step) vs warm (1: terminal iterates carried forward).
-// Compare admm_iters_mean / admm_iters_median across the pair.
-void BM_QpSolveSequence(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const bool warm = state.range(1) != 0;
-  optim::QpProblem p;
-  p.p = optim::Matrix::identity(n);
-  for (size_t i = 0; i + 1 < n; ++i) {
-    p.p(i, i + 1) = 0.25;
-    p.p(i + 1, i) = 0.25;
-  }
-  p.q.assign(n, -1.0);
-  p.a = optim::Matrix::identity(n);
-  p.l.assign(n, 0.0);
-  p.u.assign(n, 0.7);
-
-  optim::QpSolver solver;
-  optim::QpWarmStart carry;
-  bool have_carry = false;
-  std::vector<double> iters;
-  size_t step = 0;
-  for (auto _ : state) {
-    // Drift the linear term like a sliding load window.
-    for (size_t i = 0; i < n; ++i)
-      p.q[i] = -1.0 + 0.05 * (((step + i) % 9) / 8.0);
-    const optim::QpResult r = warm && have_carry
-                                  ? solver.solve(p, optim::QpOptions{}, carry)
-                                  : solver.solve(p);
-    if (warm) {
-      carry.x = r.x;
-      carry.y = r.y;
-      carry.rho = r.rho_final;
-      have_carry = true;
-    }
-    iters.push_back(static_cast<double>(r.iterations));
-    benchmark::DoNotOptimize(r.primal_residual);
-    ++step;
-  }
-  double total = 0.0;
-  for (double v : iters) total += v;
-  state.counters["admm_iters_mean"] = benchmark::Counter(
-      total, benchmark::Counter::kAvgIterations);
-  state.counters["admm_iters_median"] = median_of(iters);
-}
-BENCHMARK(BM_QpSolveSequence)
-    ->Args({40, 0})
-    ->Args({40, 1})
-    ->Args({120, 0})
-    ->Args({120, 1});
-
 // One LTV-QP control step on a sliding load window — the production
 // hot path. Arg(0) is the horizon, Arg(1) toggles
 // LtvOptions::warm_start (iterate carrying + factorisation reuse stay
 // coupled to it, exactly as shipped). The acceptance criterion lives
 // here: warm (Arg 1) must cut mean and median ADMM iterations per step
 // by >= 85 % against cold at the same horizon (CI runs
-// bench/check_warm_start.py --min-percent 85), and the banded warm
-// step must need no more iterations than the dense one
-// (bench/check_banded.py).
-void ltv_control_step(benchmark::State& state, optim::KktSolveMode mode) {
+// bench/check_warm_start.py --min-percent 85), and the warm step must
+// stay under bench/check_banded.py's per-horizon iteration ceilings.
+void BM_LtvControlStep(benchmark::State& state) {
   const size_t horizon = static_cast<size_t>(state.range(0));
   const bool warm = state.range(1) != 0;
   LtvOptions opt;
   opt.warm_start = warm;
-  opt.qp.kkt_mode = mode;
   MpcOptions mpc;
   mpc.horizon = horizon;
   LtvOtemController ctrl(spec(), mpc, opt);
@@ -231,8 +148,7 @@ void ltv_control_step(benchmark::State& state, optim::KktSolveMode mode) {
   // Fixed-size block-kernel applications per ADMM iteration and per
   // polish working-set round, counted apart so neither cost is
   // amortised over the other's denominator: exact, machine-independent,
-  // and linear in the horizon on the banded path (always 0 on the dense
-  // path) — what bench/check_banded.py gates on.
+  // and linear in the horizon — what bench/check_banded.py gates on.
   state.counters["stage_ops_per_iter"] =
       iter_total > 0.0 ? admm_ops_total / iter_total : 0.0;
   state.counters["polish_ops_per_round"] =
@@ -242,28 +158,12 @@ void ltv_control_step(benchmark::State& state, optim::KktSolveMode mode) {
   state.counters["solve_p95_us"] = latency_us.quantile(0.95);
   state.counters["solve_p99_us"] = latency_us.quantile(0.99);
 }
-
-void BM_LtvControlStep(benchmark::State& state) {
-  ltv_control_step(state, optim::KktSolveMode::kBanded);
-}
 BENCHMARK(BM_LtvControlStep)
     ->Args({10, 0})
     ->Args({10, 1})
     ->Args({30, 0})
     ->Args({30, 1})
     ->Args({60, 0})
-    ->Args({60, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// The dense condensed-KKT path on the same sequence — the correctness
-// oracle's cost, kept measured so the banded speedup stays visible in
-// BENCH_solver.json (same counters, same workload).
-void BM_LtvControlStepDense(benchmark::State& state) {
-  ltv_control_step(state, optim::KktSolveMode::kDense);
-}
-BENCHMARK(BM_LtvControlStepDense)
-    ->Args({10, 1})
-    ->Args({30, 1})
     ->Args({60, 1})
     ->Unit(benchmark::kMillisecond);
 

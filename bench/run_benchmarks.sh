@@ -28,43 +28,35 @@
 #   - BM_ObsCounterAdd etc.     obs primitive micro-costs, including
 #                               BM_ObsSketchRecord and the
 #                               BM_TraceSpan{Enabled,Disabled} pair
-#   - BM_QpSolveCold/h          one-shot QP solves, items/s = ADMM iter/s
-#   - BM_QpSolveWarm/h          persistent-workspace QP solves
 # (perf_models carries BM_PlantScalarStep / BM_PlantBatchStep/L, the
 # single-thread mission-steps/s pair bench/check_batch.py gates on in
 # CI; it is not part of the committed baselines.)
 # BENCH_solver.json (perf_solver):
 #   - BM_MpcForward[Backward]/h rollout + adjoint micro-costs
 #   - BM_OtemSolve/h            full augmented-Lagrangian control steps
-#   - BM_QpSolveSequence/{n,w}  receding-horizon QP, cold (w=0) vs warm
-#   - BM_LtvControlStep/{h,w}   LTV-QP control step (banded KKT, the
-#                               production path), cold vs warm —
+#   - BM_LtvControlStep/{h,w}   LTV-QP control step (banded KKT), cold
+#                               vs warm —
 #                               admm_iters_mean / admm_iters_median are
 #                               what bench/check_warm_start.py gates on;
 #                               stage_ops_per_iter (ADMM block ops
 #                               per iteration), polish_ops_per_round
 #                               (polish block ops per working-set
-#                               round) and the banded-vs-dense
-#                               admm_iters_mean are what
+#                               round) and the warm admm_iters_mean
+#                               (against committed per-horizon
+#                               ceilings) are what
 #                               bench/check_banded.py gates on;
 #                               solve_p50_us / solve_p95_us /
 #                               solve_p99_us are sketch-derived per-solve
 #                               latency quantiles (the ECU tail budget)
-#   - BM_LtvControlStepDense/{h,1}  the dense condensed-KKT oracle on
-#                               the same workload (the banded speedup's
-#                               denominator)
 # Derive the headline numbers as
 #   fleet speedup  = real_time(threads=1) / real_time(threads=8)
-#   QP ns per iter = 1e9 / items_per_second
 #   warm-start win = 1 - admm_iters_median(w=1) / admm_iters_median(w=0)
-#   banded speedup = real_time(BM_LtvControlStepDense/h/1)
-#                    / real_time(BM_LtvControlStep/h/1)
 # CI gates:
 #   python3 bench/check_overhead.py BENCH_fleet.json     (< 5% overhead)
 #   python3 bench/check_warm_start.py BENCH_solver.json --min-percent 85
 #                                                        (>= 85% fewer iters)
 #   python3 bench/check_banded.py BENCH_solver.json      (O(H) block ops,
-#                                                        banded <= dense iters)
+#                                                        iters <= ceilings)
 #   python3 bench/check_batch.py <perf_models json>      (>= 1.5x scalar)
 #   python3 bench/check_vectorization.py <build log>     (lane loops SIMD)
 set -euo pipefail

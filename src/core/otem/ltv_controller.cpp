@@ -28,39 +28,18 @@ void LtvOtemController::reset() {
 }
 
 /// Advance the stored QP iterates one control period — the same
-/// shift-by-one policy the incumbent plan uses. The primal lives in
-/// (du_cap, du_cool) pairs per step; the dual has nu box rows followed
-/// by 4 linearised-constraint rows per step. The terminal entries keep
-/// the previous horizon-end values.
-void LtvOtemController::shift_qp_warm_start(size_t n, size_t nu,
-                                            size_t rows) {
-  optim::Vector& x = qp_warm_.x;
-  optim::Vector& y = qp_warm_.y;
-  if (x.size() != nu || y.size() != rows) {
-    have_qp_warm_ = false;  // shape changed: honest cold start
-    return;
-  }
-  for (size_t i = 0; i + 2 < nu; ++i) {
-    x[i] = x[i + 2];
-    y[i] = y[i + 2];
-  }
-  for (size_t k = 0; k + 1 < n; ++k)
-    for (size_t r = 0; r < 4; ++r)
-      y[nu + 4 * k + r] = y[nu + 4 * (k + 1) + r];
-}
-
-/// Banded twin of shift_qp_warm_start(): iterates live in 6-variable /
-/// 11-row stage blocks, so the one-period advance moves whole stages.
-/// The terminal stage keeps the previous horizon-end values. A polished
-/// dual stays one after the shift (zero rows stay zero), so
-/// QpWarmStart::polished rides along unchanged and the next polish
-/// starts from the shifted settled working set.
-void LtvOtemController::shift_banded_warm_start(size_t n) {
+/// shift-by-one policy the incumbent plan uses. Iterates live in
+/// 6-variable / 11-row stage blocks, so the one-period advance moves
+/// whole stages. The terminal stage keeps the previous horizon-end
+/// values. A polished dual stays one after the shift (zero rows stay
+/// zero), so QpWarmStart::polished rides along unchanged and the next
+/// polish starts from the shifted settled working set.
+void LtvOtemController::shift_warm_start(size_t n) {
   optim::Vector& x = qp_warm_.x;
   optim::Vector& y = qp_warm_.y;
   if (x.size() != optim::kLtvStageVars * n ||
       y.size() != optim::kLtvStageRows * n) {
-    have_qp_warm_ = false;  // shape (or KKT mode) changed: cold start
+    have_qp_warm_ = false;  // shape changed: honest cold start
     return;
   }
   for (size_t k = 0; k + 1 < n; ++k) {
@@ -73,15 +52,15 @@ void LtvOtemController::shift_banded_warm_start(size_t n) {
   }
 }
 
-/// Stage-wise transcription of the round's QP — the same constraint set
-/// as the dense assembly in solve() (boxes, linearised state bounds,
-/// battery-power rows, identical equilibration scales and infeasibility
-/// softening), but keeping the scaled state deviations
+/// Stage-wise transcription of the round's QP: control boxes, linearised
+/// state bounds and battery-power rows, each equilibrated and softened
+/// where the controls cannot satisfy it. The scaled state deviations
 ///   w_{k+1} = (x_{k+1} - x*_{k+1}) / s_{k+1}
-/// as decision variables tied to the controls by per-stage dynamics
+/// stay decision variables, tied to the controls by per-stage dynamics
 /// equality rows. That keeps the KKT matrix block-tridiagonal, which is
-/// what LtvQpSolver factorises in O(H). The two transcriptions have the
-/// same minimiser in the controls (tests/test_banded_kkt.cpp pins this).
+/// what LtvQpSolver factorises in O(H). Condensing the states away gives
+/// a dense QP with the same minimiser in the controls
+/// (tests/test_banded_kkt.cpp pins this against such a reference).
 void LtvOtemController::assemble_banded_qp(
     const std::vector<MpcProblem::StepJacobian>& jac) {
   const size_t n = problem_.options().horizon;
@@ -92,10 +71,10 @@ void LtvOtemController::assemble_banded_qp(
   ltv_qp_.stages.assign(n, optim::LtvQpStage{});
 
   // Per-state control-authority scales s_{k,r} = max_col |T S_k(r,col)|
-  // — exactly the dense path's row-equilibration factor for the bound
-  // row on state r at step k. A vanishing scale means the controls
-  // cannot move that state (its bound row is dropped, like the dense
-  // degenerate-row case); the w variable then stays in raw units.
+  // — the row-equilibration factor of the condensed bound row on state
+  // r at step k. A vanishing scale means the controls cannot move that
+  // state (its bound row is dropped); the w variable then stays in raw
+  // units.
   state_scale_.assign(4 * (n + 1), 0.0);
   for (size_t k = 1; k <= n; ++k) {
     const optim::Matrix& s = sens_[k];
@@ -124,10 +103,13 @@ void LtvOtemController::assemble_banded_qp(
     if (box_lo_[i] > box_hi_[i]) box_lo_[i] = box_hi_[i];
   }
 
-  // Soften a row given its condensed (per-column, equilibrated)
-  // coefficients: clip the bounds to the best reachable value plus 5 %
-  // slack, as in the dense assembly. `coeff(col)` must return the same
-  // values the dense path would carry in A's row.
+  // Soften a row the controls cannot satisfy this round (e.g. a T_b
+  // bound already violated beyond one window's cooling authority), given
+  // its condensed (per-column, equilibrated) coefficients: clip the
+  // bounds to the best reachable value plus 5 % slack, so the QP stays
+  // feasible and still pushes as hard as it can. The slack keeps the
+  // softened row off the exact vertex, where every variable would pin at
+  // a bound (a slow ADMM corner case).
   auto soften = [&](auto&& coeff, double& lo, double& hi) {
     if (lo > hi) lo = hi;
     double reach_min = 0.0, reach_max = 0.0;
@@ -146,7 +128,7 @@ void LtvOtemController::assemble_banded_qp(
     optim::LtvQpStage& st = ltv_qp_.stages[k];
     const auto& jk = jac[k];
 
-    // Cost + control boxes: same numbers as dense columns 2k, 2k+1.
+    // Cost + control boxes of controls 2k, 2k+1.
     for (size_t j = 0; j < 2; ++j) {
       const size_t col = 2 * k + j;
       st.q[j] = g_u_[col] * T;
@@ -170,8 +152,7 @@ void LtvOtemController::assemble_banded_qp(
     }
 
     // State bound rows on w_{k+1}: T_b (r=0), SoC (r=2), SoE (r=3);
-    // T_c carries no bound. Bounds and softening match the dense rows
-    // exactly — the dense equilibration scale IS s_{k+1,r}.
+    // T_c carries no bound. The equilibration scale is s_{k+1,r}.
     st.x_lo[1] = -optim::kLtvInf;
     st.x_hi[1] = optim::kLtvInf;
     const double bound_lo[4] = {t_min_k_, 0.0,
@@ -261,15 +242,7 @@ MpcProblem::Controls LtvOtemController::solve(
   // step's terminal iterates, advanced one period. Later rounds reuse
   // the immediately preceding round's iterates unshifted (same time
   // alignment).
-  const bool banded =
-      options_.qp.kkt_mode == optim::KktSolveMode::kBanded;
-  const size_t rows = nu + 4 * n;  // boxes + (tb, soc, soe, p_bs) / step
-  if (options_.warm_start && have_qp_warm_) {
-    if (banded)
-      shift_banded_warm_start(n);
-    else
-      shift_qp_warm_start(n, nu, rows);
-  }
+  if (options_.warm_start && have_qp_warm_) shift_warm_start(n);
 
   // Size the persistent sensitivity stack once per horizon/width.
   if (sens_.size() != n + 1 || sens_[0].rows() != 4 ||
@@ -282,7 +255,6 @@ MpcProblem::Controls LtvOtemController::solve(
     info_.cost = problem_.evaluate(z, c_);
     problem_.gradient(z, w0_, g_z_);
     const auto jac = problem_.linearize();
-    const auto& xs = problem_.predicted_states();
 
     // Physical incumbent controls and cost gradient w.r.t. them.
     u_.assign(nu, 0.0);
@@ -314,118 +286,11 @@ MpcProblem::Controls LtvOtemController::solve(
     // --- assemble + solve the round's QP ---------------------------------
     // Decision variables are du / T with T = trust_region_w, so every
     // variable lives in [-1, 1] and ADMM sees a well-scaled problem.
-    // kBanded uses the stage-wise transcription of the same constraint
-    // set; kDense condenses the states away (see header comment).
-    optim::QpResult sol;
-    if (banded) {
-      assemble_banded_qp(jac);
-      sol = options_.warm_start && have_qp_warm_
-                ? ltv_solver_.solve(ltv_qp_, options_.qp, qp_warm_)
-                : ltv_solver_.solve(ltv_qp_, options_.qp);
-    } else {
-    const double T = options_.trust_region_w;
-    optim::QpProblem& qp = qp_;
-    qp.q.assign(nu, 0.0);
-    qp.p.reshape(nu, nu);
-    for (size_t i = 0; i < nu; ++i) {
-      qp.q[i] = g_u_[i] * T;
-      qp.p(i, i) = std::max(std::abs(g_u_[i]) * T,
-                            options_.regularisation_floor * T * T);
-    }
-    qp.a.reshape(rows, nu);
-    qp.l.assign(rows, 0.0);
-    qp.u.assign(rows, 0.0);
-
-    // Box + trust-region rows (normalised units).
-    for (size_t i = 0; i < nu; ++i) {
-      qp.a(i, i) = 1.0;
-      const bool is_cap = (i % 2 == 0);
-      const double lo = is_cap ? -cap_power_max_ : 0.0;
-      const double hi = is_cap ? cap_power_max_ : pc_max_;
-      qp.l[i] = std::max((lo - u_[i]) / T, -1.0);
-      qp.u[i] = std::min((hi - u_[i]) / T, 1.0);
-      if (qp.l[i] > qp.u[i]) qp.l[i] = qp.u[i];  // u outside box: pull in
-    }
-
-    // Linearised state and battery-power rows.
-    for (size_t k = 0; k < n; ++k) {
-      const size_t base = nu + 4 * k;
-      const optim::Matrix& s1 = sens_[k + 1];
-      // T_b
-      for (size_t col = 0; col < nu; ++col) qp.a(base, col) = s1(0, col);
-      qp.l[base] = t_min_k_ - xs[k + 1].t_battery_k;
-      qp.u[base] = t_max_k_ - xs[k + 1].t_battery_k;
-      // SoC
-      for (size_t col = 0; col < nu; ++col)
-        qp.a(base + 1, col) = s1(2, col);
-      qp.l[base + 1] =
-          problem_.options().soc_min_percent - xs[k + 1].soc_percent;
-      qp.u[base + 1] = 100.0 - xs[k + 1].soc_percent;
-      // SoE
-      for (size_t col = 0; col < nu; ++col)
-        qp.a(base + 2, col) = s1(3, col);
-      qp.l[base + 2] =
-          problem_.options().soe_min_percent - xs[k + 1].soe_percent;
-      qp.u[base + 2] = 100.0 - xs[k + 1].soe_percent;
-      // Battery power (C6): p_bs + dpbs_du du_k + dpbs_dx (x_k - x*_k).
-      const auto& jk = jac[k];
-      const optim::Matrix& s0 = sens_[k];
-      for (size_t col = 0; col < nu; ++col) {
-        double v = 0.0;
-        for (size_t m = 0; m < 4; ++m) v += jk.dpbs_dx[m] * s0(m, col);
-        qp.a(base + 3, col) = v;
-      }
-      qp.a(base + 3, 2 * k) += jk.dpbs_du[0];
-      qp.a(base + 3, 2 * k + 1) += jk.dpbs_du[1];
-      qp.l[base + 3] = -max_battery_power_w_ - jk.p_bs;
-      qp.u[base + 3] = max_battery_power_w_ - jk.p_bs;
-      // Guard against an infeasible incumbent: keep l <= u.
-      for (size_t r = base; r < base + 4; ++r)
-        if (qp.l[r] > qp.u[r]) qp.l[r] = qp.u[r];
-    }
-
-    // Convert the state/power rows from per-watt to per-normalised-unit
-    // (x T), then equilibrate: kelvin/percent rows carry tiny entries
-    // next to unit box rows, and ADMM needs comparable row norms.
-    for (size_t r = nu; r < rows; ++r) {
-      double m = 0.0;
-      for (size_t col = 0; col < nu; ++col) {
-        qp.a(r, col) *= T;
-        m = std::max(m, std::abs(qp.a(r, col)));
-      }
-      if (m < 1e-9) {
-        // Degenerate row (no control authority): drop it.
-        qp.l[r] = -1e30;
-        qp.u[r] = 1e30;
-        continue;
-      }
-      for (size_t col = 0; col < nu; ++col) qp.a(r, col) /= m;
-      qp.l[r] /= m;
-      qp.u[r] /= m;
-
-      // Soften rows the control cannot satisfy this round (e.g. a T_b
-      // bound already violated beyond one window's cooling authority):
-      // clip the bound to the best reachable value so the QP stays
-      // feasible and still pushes as hard as it can, instead of letting
-      // an infeasible row destabilise ADMM.
-      double reach_min = 0.0, reach_max = 0.0;
-      for (size_t col = 0; col < nu; ++col) {
-        const double a = qp.a(r, col);
-        reach_min += std::min(a * qp.l[col], a * qp.u[col]);
-        reach_max += std::max(a * qp.l[col], a * qp.u[col]);
-      }
-      // 5 % slack off the exact vertex keeps the softened row from
-      // pinning every variable at a bound (slow ADMM corner case).
-      const double slack = 0.05 * (reach_max - reach_min);
-      if (qp.u[r] < reach_min + slack) qp.u[r] = reach_min + slack;
-      if (qp.l[r] > reach_max - slack) qp.l[r] = reach_max - slack;
-      if (qp.l[r] > qp.u[r]) qp.l[r] = qp.u[r];
-    }
-
-    sol = options_.warm_start && have_qp_warm_
-              ? qp_solver_.solve(qp, options_.qp, qp_warm_)
-              : qp_solver_.solve(qp, options_.qp);
-    }
+    assemble_banded_qp(jac);
+    const optim::QpResult sol =
+        options_.warm_start && have_qp_warm_
+            ? ltv_solver_.solve(ltv_qp_, options_.qp, qp_warm_)
+            : ltv_solver_.solve(ltv_qp_, options_.qp);
     info_.qp_iterations += sol.iterations;
     info_.qp_rho_updates += sol.rho_updates;
     if (sol.warm_started) ++info_.qp_warm_hits;
@@ -452,10 +317,10 @@ MpcProblem::Controls LtvOtemController::solve(
       have_qp_warm_ = true;
     }
 
-    // Apply the correction (de-normalise). The banded primal is
-    // stage-major with the two controls leading each 6-wide block.
+    // Apply the correction (de-normalise). The primal is stage-major
+    // with the two controls leading each 6-wide block.
     const double T = options_.trust_region_w;
-    const size_t stride = banded ? optim::kLtvStageVars : 2;
+    constexpr size_t stride = optim::kLtvStageVars;
     for (size_t k = 0; k < n; ++k) {
       MpcProblem::Controls uk;
       uk.p_cap_bus_w = std::clamp(u_[2 * k] + T * sol.x[stride * k],

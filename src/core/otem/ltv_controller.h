@@ -7,10 +7,13 @@
 //   2. linearise the dynamics around that trajectory
 //      (MpcProblem::linearize()) and take the exact cost gradient
 //      (MpcProblem::gradient with zero constraint weights),
-//   3. build a dense convex QP in the control CORRECTION du:
-//      a trust-region-regularised linear cost subject to the
-//      linearised constraints C1/C4/C5/C6 and the C2/C3/C7 boxes,
-//   4. solve with the ADMM QP solver, apply the correction, repeat.
+//   3. build a stage-wise convex QP in the control CORRECTION du: per
+//      step the two normalised controls plus the scaled state deviation
+//      they cause, tied together by the linearised dynamics as equality
+//      rows, with a trust-region-regularised linear cost, the linearised
+//      constraints C1/C4/C5/C6 and the C2/C3/C7 boxes,
+//   4. solve it with the block-tridiagonal ADMM solver (optim/ltv_qp.h,
+//      O(H) per iteration), apply the correction, repeat.
 //
 // Versus the shooting path it trades global-ish exploration (Adam) for
 // crisp constraint handling near a good incumbent. bench/ablation_solver
@@ -19,7 +22,6 @@
 
 #include "core/otem/controller_iface.h"
 #include "optim/ltv_qp.h"
-#include "optim/qp.h"
 
 namespace otem::core {
 
@@ -46,11 +48,6 @@ struct LtvOptions {
   optim::QpOptions qp;
 
   LtvOptions() {
-    // Stage-structured banded KKT by default: the QP is block-banded by
-    // construction and the structured solve is O(H) per iteration
-    // instead of O(H^2) matvecs on O(H^3)-factorised dense KKT. Set to
-    // kDense to fall back to the condensed oracle path.
-    qp.kkt_mode = optim::KktSolveMode::kBanded;
     // The structured solver walks rho up ~4 decades before the stage
     // problems balance — once, on the cold first solve: warm rounds
     // carry the terminal rho (QpWarmStart::rho) and re-enter at it, so
@@ -101,8 +98,7 @@ class LtvOtemController final : public ControllerIface {
     size_t qp_rho_updates = 0;  ///< adaptive-rho rebalances, summed
     size_t qp_warm_hits = 0;    ///< QP rounds seeded from a warm start
     size_t kkt_refactorizations = 0;  ///< Cholesky factorisations paid
-    /// Fixed-size stage-block kernel applications, summed over rounds
-    /// (banded KKT path only; 0 on the dense path).
+    /// Fixed-size stage-block kernel applications, summed over rounds.
     size_t stage_block_ops = 0;
     size_t qp_polish_hits = 0;  ///< rounds whose polish was accepted
     size_t qp_polish_rounds = 0;  ///< polish working-set rounds, summed
@@ -132,24 +128,18 @@ class LtvOtemController final : public ControllerIface {
   bool have_warm_ = false;
   // Terminal ADMM iterates of the most recent QP round, threaded into
   // the next round (same alignment) and the next control step (shifted
-  // one period, see shift_qp_warm_start()).
+  // one period, see shift_warm_start()).
   optim::QpWarmStart qp_warm_;
   bool have_qp_warm_ = false;
   SolveInfo info_;
 
-  void shift_qp_warm_start(size_t n, size_t nu, size_t rows);
-  void shift_banded_warm_start(size_t n);
+  void shift_warm_start(size_t n);
   void assemble_banded_qp(const std::vector<MpcProblem::StepJacobian>& jac);
 
   // Persistent solver + per-solve workspace: the controller runs every
-  // simulated second, so the QP matrices, sensitivity stack and scratch
+  // simulated second, so the stage QP, sensitivity stack and scratch
   // vectors are sized once and reused across steps (no steady-state
   // heap traffic).
-  optim::QpSolver qp_solver_;
-  optim::QpProblem qp_;
-  // Banded-path twins of the above: stage-wise transcription of the
-  // SAME constraint set (see assemble_banded_qp()), solved by the
-  // block-tridiagonal O(H) solver.
   optim::LtvQpSolver ltv_solver_;
   optim::LtvQpProblem ltv_qp_;
   std::vector<optim::Matrix> sens_;  ///< control-to-state sensitivities

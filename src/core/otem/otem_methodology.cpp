@@ -141,13 +141,6 @@ void register_otem_methodologies(MethodologyRegistry& registry) {
         "ltv.qp.max_iterations", static_cast<long>(ltv.qp.max_iterations));
     OTEM_REQUIRE(qp_iters >= 1, "ltv.qp.max_iterations must be >= 1");
     ltv.qp.max_iterations = static_cast<size_t>(qp_iters);
-    // KKT backend: "banded" (stage-structured O(H) solve, default) or
-    // "dense" (condensed oracle path).
-    const std::string kkt = cfg.get_string("ltv.kkt", "banded");
-    OTEM_REQUIRE(kkt == "banded" || kkt == "dense",
-                 "ltv.kkt must be 'banded' or 'dense'");
-    ltv.qp.kkt_mode = kkt == "dense" ? optim::KktSolveMode::kDense
-                                     : optim::KktSolveMode::kBanded;
     return std::make_unique<OtemMethodology>(
         spec,
         std::make_unique<LtvOtemController>(

@@ -3,9 +3,14 @@
 // ParallelBatchMethodology and DualBatchMethodology mirror
 // ParallelMethodology / DualMethodology step for step:
 //
-//   1. architecture step per lane from the PRE-step state (scalar tier:
-//      the electro-chemical substep loop is exp/sqrt-bound, and
-//      vectorized libm is not bit-identical to scalar libm);
+//   1. architecture step for all lanes from the PRE-step state, through
+//      the architecture's step_lanes(): the parallel architecture runs
+//      its single-substep electro-chemical kernel as a flat SoA sweep
+//      on fastmath::exp (vectorizable and bit-identical to its scalar
+//      step(), which inlines the same kernel), falling back to step()
+//      per lane only where substeps or a non-unit fade exponent are
+//      needed; the dual architecture calls step() per lane with each
+//      lane's switch mode;
 //   2. passive inlet + affine thermal update as flat SIMD loops over
 //      all lanes, with the StepMatrix hoisted once per dt — the scalar
 //      path recomputes it every step, which is the main structural win;

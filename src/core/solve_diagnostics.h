@@ -24,7 +24,7 @@ struct SolveDiagnostics {
   size_t qp_warm_hits = 0;   ///< QP rounds seeded from a warm start
   size_t kkt_refactorizations = 0;  ///< Cholesky factorisations paid
   /// Fixed-size stage-block kernel applications, summed over rounds
-  /// (banded KKT path; 0 when the dense path or shooting solver ran).
+  /// (LTV path; 0 when the shooting solver ran).
   size_t stage_block_ops = 0;
   /// QP rounds whose active-set polish was accepted (banded KKT path
   /// with QpOptions::polish; see QpResult::polished).

@@ -5,7 +5,7 @@
 // buffer. Parent/child nesting is carried by a thread-local
 // active-span stack — a span opened while another is live records that
 // span's id as its parent — so a drained trace reconstructs the call
-// tree (serve.request → scenario.run → ltv.solve → qp.factorize).
+// tree (serve.request → scenario.run → ltv.solve → ltv_qp.factorize).
 //
 // The recorder is built for always-on production use:
 //   - per-thread ring buffers of kTraceRingCapacity slots, newest-wins

@@ -14,8 +14,7 @@ namespace {
 
 /// Bitwise equality of the KKT-relevant stage data (dynamics, battery
 /// row). Bounds and the linear cost q never enter K, so they are free
-/// to change without invalidating the factorisation — exactly the dense
-/// solver's A-matrix comparison, stage-structured.
+/// to change without invalidating the factorisation.
 bool same_kkt_rows(const LtvQpStage& a, const LtvQpStage& b) {
   for (size_t r = 0; r < kLtvStates; ++r) {
     if (a.ew[r] != b.ew[r] || a.cw[r] != b.cw[r]) return false;
@@ -534,9 +533,9 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
   const size_t pol_ops_before = polish_chol_.block_ops();
   size_t stage_ops = 0;  // non-factorisation block work (stage matvecs)
 
-  // Warm solves re-enter at the carried terminal penalty, as QpSolver
-  // does (see the header): a rho equal to the cached factor's also
-  // keeps the factorisation reusable.
+  // Warm solves re-enter at the carried terminal penalty (see the
+  // header): a rho equal to the cached factor's also keeps the
+  // factorisation reusable.
   double rho = warm.rho > 0.0 ? std::clamp(warm.rho, 1e-6, 1e6)
                               : options.rho;
 
@@ -554,12 +553,11 @@ QpResult LtvQpSolver::solve(const LtvQpProblem& problem,
     }
   };
 
-  // KKT factorisation reuse, with the same contract as QpSolver: an
-  // exact match of the KKT-relevant stage data + sigma + rho and a cost
-  // curvature within kkt_refactor_tol of what is baked into the cached
-  // factor reuses it outright. Anything else reassembles — at O(H)
-  // block cost the dense solver's in-place-update distinction buys
-  // nothing here, but the kkt_refactorizations accounting is identical.
+  // KKT factorisation reuse: an exact match of the KKT-relevant stage
+  // data + sigma + rho and a cost curvature within kkt_refactor_tol of
+  // what is baked into the cached factor reuses it outright. Anything
+  // else reassembles at O(H) block cost (an in-place update of the
+  // cached blocks would buy nothing).
   auto refactor = [&](double rho_now) {
     const obs::TraceSpan factor_span("ltv_qp.factorize");
     assemble_kkt(problem, options.sigma, rho_now);

@@ -5,9 +5,9 @@
 // construction: each horizon step k contributes two control corrections
 // v_k, four (scaled) state deviations w_{k+1}, linearised dynamics
 // coupling only neighbouring stages, and stage-local bounds. Condensing
-// the states away (optim/qp.h path) destroys that structure and makes
-// the ADMM KKT matrix dense; this solver keeps the states as decision
-// variables, so the KKT matrix
+// the states away destroys that structure and makes the ADMM KKT matrix
+// dense; this solver keeps the states as decision variables, so the KKT
+// matrix
 //
 //     K = P + sigma I + A^T diag(rho_i) A
 //
@@ -16,21 +16,23 @@
 // O((6H)^3). Matrix-vector products against A are stage-local too, so
 // every ADMM iteration is O(H).
 //
-// Algorithm and semantics deliberately mirror QpSolver (same
-// over-relaxed two-block ADMM, same termination tests on the true
-// problem data, same QpOptions / QpWarmStart / QpResult types, same
-// factorisation-reuse contract including kkt_refactor_tol and
-// kkt_refactorizations accounting), with one structured refinement:
-// the dynamics equality rows carry a stiffer penalty
-// (kLtvEqRhoScale * rho, OSQP's equality handling), which the dense
-// solver cannot express but which only changes the iteration path,
-// never the fixed point. tests/test_banded_kkt.cpp pins the two
-// solvers to the same solution on randomised stage problems via
+// The ADMM deliberately mirrors the dense test oracle solve_qp()
+// (optim/qp.h: same over-relaxed two-block iteration, same termination
+// tests on the true problem data, same QpOptions / QpResult types),
+// with one structured refinement: the dynamics equality rows carry a
+// stiffer penalty (kLtvEqRhoScale * rho, OSQP's equality handling),
+// which the dense solver cannot express but which only changes the
+// iteration path, never the fixed point. tests/test_banded_kkt.cpp pins
+// the two solvers to the same solution on randomised stage problems via
 // ltv_qp_to_dense().
 //
-// Warm starts follow QpSolver exactly: a QpWarmStart with rho > 0
-// starts the solve at clamp(warm.rho, 1e-6, 1e6), the carried terminal
-// penalty. The structured problem's equilibrium rho sits ~4 decades
+// The solver persists its KKT factorisation across solve() calls and
+// reuses it when the next problem's stage constraint data, sigma and
+// rho match and its cost curvature is within QpOptions::kkt_refactor_tol
+// (QpResult::kkt_refactorizations counts what was paid).
+//
+// Warm starts: a QpWarmStart with rho > 0 starts the solve at
+// clamp(warm.rho, 1e-6, 1e6), the carried terminal penalty. The structured problem's equilibrium rho sits ~4 decades
 // above QpOptions::rho; the cold first solve of a receding-horizon
 // sequence walks up to it (one rebalance per rho_update_interval), and
 // every warm solve after that starts there — typically converging
@@ -99,8 +101,7 @@ inline constexpr double kLtvPolishDropFloor = 1e-3;
 /// each reuses its factorisation and shrinks the remaining active-row
 /// violation by ~1/kLtvPolishWeight, down to machine level.
 inline constexpr size_t kLtvPolishPasses = 3;
-/// Bound magnitude treated as "unconstrained" (mirrors the dense path's
-/// dropped-row convention).
+/// Bound magnitude treated as "unconstrained" (a dropped row).
 inline constexpr double kLtvInf = 1e30;
 
 /// One horizon stage of the structured QP, in the solver's scaled
@@ -142,8 +143,8 @@ struct LtvQpProblem {
 /// solver (per stage: boxes, dynamics, state bounds, battery).
 QpProblem ltv_qp_to_dense(const LtvQpProblem& problem);
 
-/// Reusable structured ADMM solver; keep one alive per controller, like
-/// QpSolver. Workspace (stage blocks, factorisation, iterates) persists
+/// Reusable structured ADMM solver; keep one alive per controller.
+/// Workspace (stage blocks, factorisation, iterates) persists
 /// across solve() calls; the factorisation is reused whenever
 /// consecutive problems share their KKT-relevant data (dynamics,
 /// battery rows, cost curvature within kkt_refactor_tol, sigma, rho).

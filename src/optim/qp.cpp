@@ -2,49 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
-#include "obs/trace.h"
 #include "optim/vector_ops.h"
 
 namespace otem::optim {
 
-namespace {
-
-/// Exact elementwise equality (including shape) — the gate for reusing
-/// the cached Gram matrix / factorisation. Bitwise comparison keeps the
-/// reuse decision deterministic.
-bool same_values(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  const double* pa = a.data();
-  const double* pb = b.data();
-  const size_t count = a.rows() * a.cols();
-  for (size_t i = 0; i < count; ++i)
-    if (pa[i] != pb[i]) return false;
-  return true;
-}
-
-/// max_ij |a_ij - b_ij| for same-shaped matrices.
-double max_abs_diff(const Matrix& a, const Matrix& b) {
-  const double* pa = a.data();
-  const double* pb = b.data();
-  const size_t count = a.rows() * a.cols();
-  double m = 0.0;
-  for (size_t i = 0; i < count; ++i)
-    m = std::max(m, std::abs(pa[i] - pb[i]));
-  return m;
-}
-
-}  // namespace
-
-QpResult QpSolver::solve(const QpProblem& problem,
-                         const QpOptions& options) {
-  return solve(problem, options, QpWarmStart{});
-}
-
-QpResult QpSolver::solve(const QpProblem& problem, const QpOptions& options,
-                         const QpWarmStart& warm) {
-  const obs::TraceSpan solve_span("qp.solve");
+QpResult solve_qp(const QpProblem& problem, const QpOptions& options) {
   const size_t n = problem.q.size();
   const size_t m = problem.l.size();
   // Cheap O(1) dimension-consistency checks come first; everything
@@ -57,120 +22,63 @@ QpResult QpSolver::solve(const QpProblem& problem, const QpOptions& options,
   for (size_t i = 0; i < m; ++i)
     OTEM_REQUIRE(problem.l[i] <= problem.u[i], "QP: l > u in some row");
 #ifndef NDEBUG
-  // O(n^2) scan — debug-only contract check. solve() runs on every MPC
-  // step and in-tree callers build P symmetric by construction, so the
-  // release build skips it.
+  // O(n^2) scan — debug-only contract check.
   OTEM_REQUIRE(problem.p.is_symmetric(1e-9), "QP: P must be symmetric");
 #endif
 
   QpResult result;
+  double rho = options.rho;
 
-  double rho = warm.rho > 0.0 ? std::clamp(warm.rho, 1e-6, 1e6)
-                              : options.rho;
+  // KKT matrix K = P + sigma I + rho A^T A and its factorisation.
+  Matrix ata;
+  problem.a.gram_into(ata);
+  Matrix kkt = problem.p;
+  for (size_t i = 0; i < n; ++i) kkt(i, i) += options.sigma;
+  kkt.add_scaled(ata, rho);
+  Cholesky chol;
+  chol.factor(kkt);
+  ++result.kkt_refactorizations;
 
-  // KKT matrix K = P + sigma I + rho A^T A, assembled incrementally
-  // against whatever the previous solve left behind. Receding-horizon
-  // callers re-solve with identical A (and often near-identical P)
-  // every step, so the Gram product and the Cholesky are the two big
-  // costs worth skipping.
-  const bool same_a = factored_ && same_values(a_cached_, problem.a);
-  if (!same_a) {
-    problem.a.gram_into(ata_);
-    a_cached_ = problem.a;
-  }
-  const bool kkt_compatible =
-      same_a && factored_ && sigma_cached_ == options.sigma &&
-      p_cached_.rows() == n && p_cached_.cols() == n;
-  if (kkt_compatible && rho == rho_cached_ &&
-      max_abs_diff(p_cached_, problem.p) <= options.kkt_refactor_tol) {
-    // Full reuse: the cached factorisation is (within tolerance) this
-    // problem's KKT matrix. Termination below tests residuals of the
-    // true problem data, so a tolerated P drift only affects
-    // convergence speed, never the answer. Note p_cached_ keeps the P
-    // baked into the factor, so drift cannot accumulate across solves.
-  } else if (kkt_compatible) {
-    // In-place update: K += (P - P_old) + (rho - rho_old) A^T A.
-    kkt_.add_scaled(p_cached_, -1.0);
-    kkt_.add_scaled(problem.p, 1.0);
-    if (rho != rho_cached_) kkt_.add_scaled(ata_, rho - rho_cached_);
-    p_cached_ = problem.p;
-    rho_cached_ = rho;
-    factored_ = false;
-    {
-      const obs::TraceSpan factor_span("qp.factorize");
-      chol_.factor(kkt_);
-    }
-    factored_ = true;
-    ++result.kkt_refactorizations;
-  } else {
-    kkt_ = problem.p;
-    for (size_t i = 0; i < n; ++i) kkt_(i, i) += options.sigma;
-    kkt_.add_scaled(ata_, rho);
-    p_cached_ = problem.p;
-    sigma_cached_ = options.sigma;
-    rho_cached_ = rho;
-    factored_ = false;
-    {
-      const obs::TraceSpan factor_span("qp.factorize");
-      chol_.factor(kkt_);
-    }
-    factored_ = true;
-    ++result.kkt_refactorizations;
-  }
-
-  // Iterate seeds: a usable warm start replays the previous solution
-  // (z as the projection of A x keeps the z-iterate feasible), anything
-  // else cold-starts at zero.
-  result.warm_started = warm.x.size() == n && warm.y.size() == m;
-  if (result.warm_started) {
-    x_ = warm.x;
-    y_ = warm.y;
-    problem.a.multiply_vector_into(x_, z_);
-    for (size_t i = 0; i < m; ++i)
-      z_[i] = std::clamp(z_[i], problem.l[i], problem.u[i]);
-  } else {
-    x_.assign(n, 0.0);
-    z_.assign(m, 0.0);
-    y_.assign(m, 0.0);
-  }
+  // ADMM iterates (cold start at zero) and scratch.
+  Vector x(n, 0.0), z(m, 0.0), y(m, 0.0);
+  Vector rhs, t, ax, z_new, px, aty, dres;
   for (size_t it = 0; it < options.max_iterations; ++it) {
     // x-update: solve K x = sigma x - q + A^T (rho z - y), in place in
-    // rhs_ (which therefore holds x_new after the solve).
-    rhs_.resize(n);
+    // rhs (which therefore holds x_new after the solve).
+    rhs.resize(n);
     for (size_t i = 0; i < n; ++i)
-      rhs_[i] = options.sigma * x_[i] - problem.q[i];
-    t_.resize(m);
-    for (size_t i = 0; i < m; ++i) t_[i] = rho * z_[i] - y_[i];
-    problem.a.transpose_multiply_add(t_, 1.0, rhs_);
-    chol_.solve_in_place(rhs_);
-    const Vector& x_new = rhs_;
+      rhs[i] = options.sigma * x[i] - problem.q[i];
+    t.resize(m);
+    for (size_t i = 0; i < m; ++i) t[i] = rho * z[i] - y[i];
+    problem.a.transpose_multiply_add(t, 1.0, rhs);
+    chol.solve_in_place(rhs);
+    const Vector& x_new = rhs;
 
     // Over-relaxed z-update with projection onto [l, u].
-    problem.a.multiply_vector_into(x_new, ax_);
-    z_new_.resize(m);
+    problem.a.multiply_vector_into(x_new, ax);
+    z_new.resize(m);
     for (size_t i = 0; i < m; ++i) {
       const double axr =
-          options.alpha * ax_[i] + (1.0 - options.alpha) * z_[i];
-      z_new_[i] = std::clamp(axr + y_[i] / rho, problem.l[i],
-                             problem.u[i]);
-      y_[i] += rho * (axr - z_new_[i]);
+          options.alpha * ax[i] + (1.0 - options.alpha) * z[i];
+      z_new[i] = std::clamp(axr + y[i] / rho, problem.l[i], problem.u[i]);
+      y[i] += rho * (axr - z_new[i]);
     }
 
     // Residuals (unscaled OSQP-style).
     double r_prim = 0.0;
     for (size_t i = 0; i < m; ++i)
-      r_prim = std::max(r_prim, std::abs(ax_[i] - z_new_[i]));
+      r_prim = std::max(r_prim, std::abs(ax[i] - z_new[i]));
 
-    // Promote the new iterates; rhs_/z_new_ are fully rewritten next
+    // Promote the new iterates; rhs/z_new are fully rewritten next
     // iteration, so swapping moves no data.
-    std::swap(x_, rhs_);
-    std::swap(z_, z_new_);
+    std::swap(x, rhs);
+    std::swap(z, z_new);
     result.iterations = it + 1;
     result.primal_residual = r_prim;
 
     const double eps_p =
         options.eps_abs +
-        options.eps_rel * std::max(norm_inf(ax_), norm_inf(z_));
+        options.eps_rel * std::max(norm_inf(ax), norm_inf(z));
 
     // The dual residual || P x + q + A^T y ||_inf costs two extra
     // matvecs, but nothing in the update uses it: it only gates
@@ -187,15 +95,15 @@ QpResult QpSolver::solve(const QpProblem& problem, const QpOptions& options,
     double r_dual = result.dual_residual;
     double eps_d = 0.0;
     if (need_dual) {
-      problem.p.multiply_vector_into(x_, px_);
-      aty_.assign(n, 0.0);
-      problem.a.transpose_multiply_add(y_, 1.0, aty_);
-      dres_.resize(n);
+      problem.p.multiply_vector_into(x, px);
+      aty.assign(n, 0.0);
+      problem.a.transpose_multiply_add(y, 1.0, aty);
+      dres.resize(n);
       for (size_t i = 0; i < n; ++i)
-        dres_[i] = px_[i] + problem.q[i] + aty_[i];
-      r_dual = norm_inf(dres_);
+        dres[i] = px[i] + problem.q[i] + aty[i];
+      r_dual = norm_inf(dres);
       const double dual_scale = std::max(
-          {norm_inf(px_), norm_inf(problem.q), norm_inf(aty_)});
+          {norm_inf(px), norm_inf(problem.q), norm_inf(aty)});
       eps_d = options.eps_abs + options.eps_rel * dual_scale;
       result.dual_residual = r_dual;
     }
@@ -212,20 +120,13 @@ QpResult QpSolver::solve(const QpProblem& problem, const QpOptions& options,
       const double rel_d = r_dual / std::max(eps_d, 1e-30);
       const double ratio = std::sqrt(rel_p / std::max(rel_d, 1e-30));
       if (ratio > 3.16 || ratio < 0.316) {
-        const double rho_new =
-            std::clamp(rho * ratio, 1e-6, 1e6);
+        const double rho_new = std::clamp(rho * ratio, 1e-6, 1e6);
         if (rho_new != rho) {
-          // K(rho') = K(rho) + (rho' - rho) A^T A: update the cached
-          // KKT matrix in place and refactorise into existing storage.
-          kkt_.add_scaled(ata_, rho_new - rho);
+          // K(rho') = K(rho) + (rho' - rho) A^T A: update the KKT
+          // matrix in place and refactorise into existing storage.
+          kkt.add_scaled(ata, rho_new - rho);
           rho = rho_new;
-          rho_cached_ = rho;
-          factored_ = false;
-          {
-            const obs::TraceSpan factor_span("qp.factorize");
-            chol_.factor(kkt_);
-          }
-          factored_ = true;
+          chol.factor(kkt);
           ++result.rho_updates;
           ++result.kkt_refactorizations;
         }
@@ -233,15 +134,10 @@ QpResult QpSolver::solve(const QpProblem& problem, const QpOptions& options,
     }
   }
 
-  result.x = x_;
-  result.y = y_;
+  result.x = std::move(x);
+  result.y = std::move(y);
   result.rho_final = rho;
   return result;
-}
-
-QpResult solve_qp(const QpProblem& problem, const QpOptions& options) {
-  QpSolver solver;
-  return solver.solve(problem, options);
 }
 
 }  // namespace otem::optim

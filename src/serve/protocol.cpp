@@ -80,8 +80,12 @@ Request parse_request(const std::string& line) {
   if (const Json* id = doc.find("id")) req.id = *id;
 
   if (const Json* deadline = doc.find("deadline_ms")) {
-    if (!deadline->is_number() || deadline->as_number() < 0.0)
-      throw SimError("'deadline_ms' must be a non-negative number");
+    // 1e400 parses to inf, and the server turns the deadline into a
+    // signed chrono duration: refuse anything beyond the bound here.
+    if (!deadline->is_number() || !(deadline->as_number() >= 0.0 &&
+                                    deadline->as_number() <= kMaxDeadlineMs))
+      throw SimError("'deadline_ms' must be a non-negative number of at "
+                     "most one day");
     req.deadline_ms = deadline->as_number();
   }
 

@@ -6,7 +6,7 @@
 //    "method": "run" | "ping" | "metrics" | "stats" | "methods"
 //            | "session.open" | "session.step" | "session.close",
 //    "id": <any JSON value, echoed back verbatim>,        (optional)
-//    "deadline_ms": <number>,                             (optional)
+//    "deadline_ms": <number in [0, kMaxDeadlineMs]>,      (optional)
 //    "cache": "use" | "bypass",                           (optional)
 //    "hex_doubles": bool,                                 (optional)
 //    "session": "<session id>",        (session.step / session.close)
@@ -45,6 +45,10 @@
 namespace otem::serve {
 
 inline constexpr const char* kSchema = "otem.serve.v1";
+
+/// Largest accepted "deadline_ms": one day. Larger (or non-finite)
+/// values are refused with bad_request.
+inline constexpr double kMaxDeadlineMs = 86'400'000.0;
 
 enum class ErrorCode {
   kBadRequest,        ///< malformed JSON, schema/type errors, bad overrides

@@ -1,9 +1,10 @@
 // Tests for the banded KKT path: fixed-size SmallMat kernels against
 // the runtime-sized Matrix oracles, the block-tridiagonal Cholesky
 // against the dense factorisation, the structured LtvQpSolver against
-// the dense QpSolver on randomised stage problems (via
-// ltv_qp_to_dense), and the controller-level dense-vs-banded agreement
-// on receding-horizon sequences.
+// the dense solve_qp oracle on randomised stage problems (via
+// ltv_qp_to_dense), and the controller's stage-wise transcription
+// against a test-local condensed reference (CondensedLtvReference) on
+// one-shot and receding-horizon sequences.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -272,8 +273,7 @@ TEST_P(LtvQpSeed, BandedMatchesDenseOracle) {
   EXPECT_EQ(rb.polish_rounds, 0u);  // polish off: no polish telemetry
   EXPECT_EQ(rb.polish_block_ops, 0u);
 
-  QpSolver dense;
-  const QpResult rd = dense.solve(ltv_qp_to_dense(p), tight_options());
+  const QpResult rd = solve_qp(ltv_qp_to_dense(p), tight_options());
   ASSERT_TRUE(rd.converged);
   EXPECT_EQ(rd.stage_block_ops, 0u);
 
@@ -308,8 +308,7 @@ TEST_P(LtvQpSeed, PolishSnapsLooseSolveToTightSolution) {
   const LtvQpProblem p = random_ltv_problem(rng, horizon);
 
   // Oracle: the dense solver at tight tolerance.
-  QpSolver dense;
-  const QpResult oracle = dense.solve(ltv_qp_to_dense(p), tight_options());
+  const QpResult oracle = solve_qp(ltv_qp_to_dense(p), tight_options());
   ASSERT_TRUE(oracle.converged);
 
   // Banded path at a 6-decades-looser tolerance, with polish: ADMM only
@@ -381,6 +380,34 @@ TEST(LtvQpSolver, IdenticalWarmResolveKeepsRhoAndFactor) {
   EXPECT_EQ(second.kkt_refactorizations, 0u);
 }
 
+TEST(LtvQpSolver, MismatchedWarmStartFallsBackToCold) {
+  // A wrong-sized seed is not an error: the solve silently cold-starts
+  // (the natural fallback on a horizon change) and lands on exactly the
+  // cold solution.
+  Rng rng(13);
+  const LtvQpProblem p = random_ltv_problem(rng, 5);
+  LtvQpSolver cold_solver;
+  const QpResult cold = cold_solver.solve(p, tight_options());
+  ASSERT_TRUE(cold.converged);
+  EXPECT_FALSE(cold.warm_started);
+
+  QpWarmStart short_x;
+  short_x.x = {0.1};  // wrong size, dual well-sized
+  short_x.y = cold.y;
+  QpWarmStart short_y;
+  short_y.x = cold.x;
+  short_y.y = {0.1};  // primal well-sized, wrong-sized dual
+  for (const QpWarmStart* warm : {&short_x, &short_y}) {
+    LtvQpSolver solver;
+    const QpResult r = solver.solve(p, tight_options(), *warm);
+    ASSERT_TRUE(r.converged);
+    EXPECT_FALSE(r.warm_started);
+    EXPECT_EQ(r.iterations, cold.iterations);
+    ASSERT_EQ(r.x.size(), cold.x.size());
+    for (size_t i = 0; i < r.x.size(); ++i) EXPECT_EQ(r.x[i], cold.x[i]);
+  }
+}
+
 TEST(LtvQpSolver, StageBlockOpsPerIterationGrowLinearlyInHorizon) {
   // The O(H) claim, on the architecture-independent counter: per-ADMM-
   // iteration block work at horizon 16 is ~2x horizon 8 (not 4x or 8x,
@@ -405,24 +432,205 @@ TEST(LtvQpSolver, StageBlockOpsPerIterationGrowLinearlyInHorizon) {
 }  // namespace otem::optim
 
 // ---------------------------------------------------------------------------
-// Controller level: the banded transcription solves the same problem as
-// the condensed dense path, across a receding-horizon sequence.
+// Controller level: the stage-wise transcription solves the same problem
+// as the condensed one, across a receding-horizon sequence.
 
 namespace otem::core {
 namespace {
 
-LtvOptions tight_controller_options(optim::KktSolveMode mode) {
+// The condensed transcription of LtvOtemController's SQP rounds, the
+// independent reference for assemble_banded_qp(). It eliminates the
+// states through the control-to-state sensitivities S_k, so each round
+// is a dense QP in the normalised control corrections du / T: box +
+// trust-region rows, then per step the linearised T_b, SoC, SoE and
+// battery-power (C6) rows, each equilibrated by its max-abs coefficient
+// and softened to the reachable range. Every round is solved cold by
+// the dense ADMM oracle. Built only on the public MpcProblem API.
+class CondensedLtvReference {
+ public:
+  CondensedLtvReference(const SystemSpec& spec, MpcOptions mpc,
+                        LtvOptions options)
+      : problem_(spec, mpc),
+        options_(options),
+        cap_power_max_(spec.ultracap.max_power_w),
+        pc_max_(spec.thermal.max_cooler_power_w),
+        max_battery_power_w_(spec.hybrid.max_battery_power_w),
+        t_max_k_(spec.thermal.max_battery_temp_k),
+        t_min_k_(spec.thermal.min_battery_temp_k) {}
+
+  MpcProblem::Controls solve(const PlantState& state,
+                             const std::vector<double>& p_e_window) {
+    problem_.set_window(state, p_e_window);
+    const size_t n = problem_.options().horizon;
+    const size_t nu = 2 * n;
+    const double T = options_.trust_region_w;
+
+    // Incumbent plan: the previous solution shifted one period, or
+    // "all off" on the first step.
+    optim::Vector z(nu);
+    if (incumbent_.size() == nu) {
+      for (size_t i = 0; i + 2 < nu; ++i) z[i] = incumbent_[i + 2];
+      z[nu - 2] = incumbent_[nu - 2];
+      z[nu - 1] = incumbent_[nu - 1];
+    } else {
+      for (size_t k = 0; k < n; ++k) z[2 * k] = 0.5;  // 0 W ultracap
+    }
+
+    optim::Vector c(problem_.num_constraints(), 0.0);
+    const optim::Vector w0(problem_.num_constraints(), 0.0);
+    optim::Vector g_z(nu, 0.0);
+    converged_ = false;
+    for (size_t round = 0; round < options_.sqp_iterations; ++round) {
+      problem_.evaluate(z, c);
+      problem_.gradient(z, w0, g_z);
+      const auto jac = problem_.linearize();
+      const auto& xs = problem_.predicted_states();
+
+      // Physical incumbent controls and cost gradient w.r.t. them.
+      optim::Vector u(nu), g_u(nu);
+      for (size_t k = 0; k < n; ++k) {
+        const auto uk = problem_.decode(z, k);
+        u[2 * k] = uk.p_cap_bus_w;
+        u[2 * k + 1] = uk.p_cooler_w;
+        g_u[2 * k] = g_z[2 * k] / (2.0 * cap_power_max_);
+        g_u[2 * k + 1] = g_z[2 * k + 1] / pc_max_;
+      }
+
+      // S_{k+1} = A_k S_k + B_k at columns (2k, 2k+1); S_0 = 0.
+      std::vector<optim::Matrix> sens(n + 1, optim::Matrix(4, nu));
+      for (size_t k = 0; k < n; ++k) {
+        optim::Matrix a(4, 4);
+        for (size_t r = 0; r < 4; ++r)
+          for (size_t m = 0; m < 4; ++m) a(r, m) = jac[k].a[r][m];
+        sens[k + 1] = a * sens[k];
+        for (size_t r = 0; r < 4; ++r) {
+          sens[k + 1](r, 2 * k) += jac[k].b[r][0];
+          sens[k + 1](r, 2 * k + 1) += jac[k].b[r][1];
+        }
+      }
+
+      const size_t rows = nu + 4 * n;
+      optim::QpProblem qp;
+      qp.q.assign(nu, 0.0);
+      qp.p = optim::Matrix(nu, nu);
+      for (size_t i = 0; i < nu; ++i) {
+        qp.q[i] = g_u[i] * T;
+        qp.p(i, i) = std::max(std::abs(g_u[i]) * T,
+                              options_.regularisation_floor * T * T);
+      }
+      qp.a = optim::Matrix(rows, nu);
+      qp.l.assign(rows, 0.0);
+      qp.u.assign(rows, 0.0);
+
+      // Box + trust-region rows (normalised units).
+      for (size_t i = 0; i < nu; ++i) {
+        qp.a(i, i) = 1.0;
+        const bool is_cap = (i % 2 == 0);
+        const double lo = is_cap ? -cap_power_max_ : 0.0;
+        const double hi = is_cap ? cap_power_max_ : pc_max_;
+        qp.l[i] = std::max((lo - u[i]) / T, -1.0);
+        qp.u[i] = std::min((hi - u[i]) / T, 1.0);
+        if (qp.l[i] > qp.u[i]) qp.l[i] = qp.u[i];  // u outside box: pull in
+      }
+
+      // Linearised state and battery-power rows, per watt.
+      for (size_t k = 0; k < n; ++k) {
+        const size_t base = nu + 4 * k;
+        const optim::Matrix& s1 = sens[k + 1];
+        const optim::Matrix& s0 = sens[k];
+        const auto& jk = jac[k];
+        for (size_t col = 0; col < nu; ++col) {
+          qp.a(base, col) = s1(0, col);      // T_b
+          qp.a(base + 1, col) = s1(2, col);  // SoC
+          qp.a(base + 2, col) = s1(3, col);  // SoE
+          double v = 0.0;  // p_bs + dpbs_du du_k + dpbs_dx (x_k - x*_k)
+          for (size_t m = 0; m < 4; ++m) v += jk.dpbs_dx[m] * s0(m, col);
+          qp.a(base + 3, col) = v;
+        }
+        qp.a(base + 3, 2 * k) += jk.dpbs_du[0];
+        qp.a(base + 3, 2 * k + 1) += jk.dpbs_du[1];
+        qp.l[base] = t_min_k_ - xs[k + 1].t_battery_k;
+        qp.u[base] = t_max_k_ - xs[k + 1].t_battery_k;
+        qp.l[base + 1] =
+            problem_.options().soc_min_percent - xs[k + 1].soc_percent;
+        qp.u[base + 1] = 100.0 - xs[k + 1].soc_percent;
+        qp.l[base + 2] =
+            problem_.options().soe_min_percent - xs[k + 1].soe_percent;
+        qp.u[base + 2] = 100.0 - xs[k + 1].soe_percent;
+        qp.l[base + 3] = -max_battery_power_w_ - jk.p_bs;
+        qp.u[base + 3] = max_battery_power_w_ - jk.p_bs;
+        for (size_t r = base; r < base + 4; ++r)
+          if (qp.l[r] > qp.u[r]) qp.l[r] = qp.u[r];
+      }
+
+      // Per-normalised-unit (x T), equilibrated, softened to 5 % inside
+      // the reachable range.
+      for (size_t r = nu; r < rows; ++r) {
+        double m = 0.0;
+        for (size_t col = 0; col < nu; ++col) {
+          qp.a(r, col) *= T;
+          m = std::max(m, std::abs(qp.a(r, col)));
+        }
+        if (m < 1e-9) {  // no control authority: drop the row
+          qp.l[r] = -optim::kLtvInf;
+          qp.u[r] = optim::kLtvInf;
+          continue;
+        }
+        for (size_t col = 0; col < nu; ++col) qp.a(r, col) /= m;
+        qp.l[r] /= m;
+        qp.u[r] /= m;
+        double reach_min = 0.0, reach_max = 0.0;
+        for (size_t col = 0; col < nu; ++col) {
+          const double a = qp.a(r, col);
+          reach_min += std::min(a * qp.l[col], a * qp.u[col]);
+          reach_max += std::max(a * qp.l[col], a * qp.u[col]);
+        }
+        const double slack = 0.05 * (reach_max - reach_min);
+        if (qp.u[r] < reach_min + slack) qp.u[r] = reach_min + slack;
+        if (qp.l[r] > reach_max - slack) qp.l[r] = reach_max - slack;
+        if (qp.l[r] > qp.u[r]) qp.l[r] = qp.u[r];
+      }
+
+      const optim::QpResult sol = optim::solve_qp(qp, options_.qp);
+      converged_ = sol.converged;
+      for (size_t k = 0; k < n; ++k) {
+        MpcProblem::Controls uk;
+        uk.p_cap_bus_w = std::clamp(u[2 * k] + T * sol.x[2 * k],
+                                    -cap_power_max_, cap_power_max_);
+        uk.p_cooler_w =
+            std::clamp(u[2 * k + 1] + T * sol.x[2 * k + 1], 0.0, pc_max_);
+        problem_.encode(k, uk, z);
+      }
+    }
+
+    cost_ = problem_.evaluate(z, c);
+    incumbent_ = z;
+    return problem_.decode(z, 0);
+  }
+
+  double cost() const { return cost_; }
+  bool converged() const { return converged_; }  ///< last round's QP
+
+ private:
+  MpcProblem problem_;
+  LtvOptions options_;
+  double cap_power_max_, pc_max_, max_battery_power_w_, t_max_k_, t_min_k_;
+  optim::Vector incumbent_;
+  double cost_ = 0.0;
+  bool converged_ = false;
+};
+
+LtvOptions tight_controller_options() {
   // Tighter than the production defaults so the comparison isolates the
   // transcription, not per-round ADMM slack.
   LtvOptions o;
-  o.qp.kkt_mode = mode;
   o.qp.eps_abs = 1e-6;
   o.qp.eps_rel = 1e-6;
   o.qp.max_iterations = 40000;
   return o;
 }
 
-// One-shot solves from a fresh (reset) incumbent: with identical SQP
+// One-shot solves from a fresh incumbent: with identical SQP
 // linearisation points, the two transcriptions must produce the same
 // controls to QP tolerance. Randomises horizon, state and load window,
 // so different constraint sets go active (thermal, SoC, battery power).
@@ -434,10 +642,8 @@ TEST_P(BandedVsDenseSeed, OneShotControlsMatchAcrossRandomWindows) {
   const size_t horizon = 6 + static_cast<size_t>(GetParam()) % 8;
   MpcOptions mpc;
   mpc.horizon = horizon;
-  LtvOtemController banded(
-      spec, mpc, tight_controller_options(optim::KktSolveMode::kBanded));
-  LtvOtemController dense(
-      spec, mpc, tight_controller_options(optim::KktSolveMode::kDense));
+  LtvOtemController banded(spec, mpc, tight_controller_options());
+  CondensedLtvReference dense(spec, mpc, tight_controller_options());
 
   PlantState x;
   x.t_battery_k = rng.uniform(296.0, 309.0);
@@ -450,13 +656,12 @@ TEST_P(BandedVsDenseSeed, OneShotControlsMatchAcrossRandomWindows) {
   const auto ub = banded.solve(x, window);
   const auto ud = dense.solve(x, window);
   EXPECT_TRUE(banded.last_solve().qp_converged);
-  EXPECT_TRUE(dense.last_solve().qp_converged);
+  EXPECT_TRUE(dense.converged());
   EXPECT_GT(banded.last_solve().stage_block_ops, 0u);
-  EXPECT_EQ(dense.last_solve().stage_block_ops, 0u);
   EXPECT_NEAR(ub.p_cap_bus_w, ud.p_cap_bus_w, 200.0);
   EXPECT_NEAR(ub.p_cooler_w, ud.p_cooler_w, 200.0);
-  EXPECT_NEAR(banded.last_solve().cost, dense.last_solve().cost,
-              1e-4 * std::abs(dense.last_solve().cost) + 1.0);
+  EXPECT_NEAR(banded.last_solve().cost, dense.cost(),
+              1e-4 * std::abs(dense.cost()) + 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BandedVsDenseSeed, ::testing::Range(0, 8));
@@ -466,15 +671,13 @@ TEST(LtvBandedController, MatchesDensePlanQualityOnRecedingHorizon) {
   // around its OWN incumbent, and near SQP ties (the u = 0 loss kink)
   // watt-level QP differences can fork the trajectories — so per-step
   // control equality is NOT an invariant here. Equal plan QUALITY is:
-  // both paths must accept plans of the same cost, every step.
+  // both transcriptions must accept plans of the same cost, every step.
   const SystemSpec spec = SystemSpec::from_config(Config());
   const size_t horizon = 10;
   MpcOptions mpc;
   mpc.horizon = horizon;
-  LtvOtemController banded(
-      spec, mpc, tight_controller_options(optim::KktSolveMode::kBanded));
-  LtvOtemController dense(
-      spec, mpc, tight_controller_options(optim::KktSolveMode::kDense));
+  LtvOtemController banded(spec, mpc, tight_controller_options());
+  CondensedLtvReference dense(spec, mpc, tight_controller_options());
 
   Rng rng(11);
   std::vector<double> load(horizon + 20);
@@ -489,14 +692,14 @@ TEST(LtvBandedController, MatchesDensePlanQualityOnRecedingHorizon) {
     const auto ub = banded.solve(x, window);
     const auto ud = dense.solve(x, window);
     EXPECT_TRUE(banded.last_solve().qp_converged) << "step " << step;
-    EXPECT_TRUE(dense.last_solve().qp_converged) << "step " << step;
+    EXPECT_TRUE(dense.converged()) << "step " << step;
     // Controls stay inside the same physical boxes...
     EXPECT_LE(std::abs(ub.p_cap_bus_w), spec.ultracap.max_power_w + 1e-6);
     EXPECT_LE(std::abs(ub.p_cap_bus_w - ud.p_cap_bus_w),
               2.0 * spec.ultracap.max_power_w);
     // ...and the accepted plans are equally good.
-    EXPECT_NEAR(banded.last_solve().cost, dense.last_solve().cost,
-                0.01 * std::abs(dense.last_solve().cost))
+    EXPECT_NEAR(banded.last_solve().cost, dense.cost(),
+                0.01 * std::abs(dense.cost()))
         << "step " << step;
     x.t_battery_k += rng.uniform(-0.05, 0.05);
   }

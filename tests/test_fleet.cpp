@@ -121,19 +121,16 @@ TEST(Fleet, LtvWarmStartsStayBitIdenticalAcrossThreads) {
 }
 
 TEST(Fleet, BandedKktStaysBitIdenticalAcrossThreads) {
-  // The banded KKT path adds per-solver persistent stage workspace
+  // The banded KKT solver adds per-solver persistent stage workspace
   // (block factors, ADMM iterates) on top of the warm-start state; each
   // mission still owns its controller, so execution width must not
-  // change a single bit. Pinned to kBanded explicitly so the test keeps
-  // its meaning if the LtvOptions default ever changes.
+  // change a single bit.
   const core::SystemSpec spec = default_spec();
   const auto banded_factory = [](const core::SystemSpec& s) {
     core::MpcOptions mpc;
     mpc.horizon = 8;
-    core::LtvOptions ltv;
-    ltv.qp.kkt_mode = optim::KktSolveMode::kBanded;
     return std::make_unique<core::OtemMethodology>(
-        s, std::make_unique<core::LtvOtemController>(s, mpc, ltv));
+        s, std::make_unique<core::LtvOtemController>(s, mpc));
   };
   FleetOptions serial = small_fleet(3);
   serial.min_duration_s = 60.0;

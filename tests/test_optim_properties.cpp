@@ -180,92 +180,6 @@ TEST(QpProperty, KktHoldsOnRandomBoxProblems) {
 }
 
 // ---------------------------------------------------------------------------
-// QP: warm-started solves land on the cold solution (to tolerance) and
-// never need more information than the cold path — on random PSD
-// problems, seeding from an arbitrary (even bad) point must not change
-// the answer, and seeding from the solution of a nearby problem must
-// not be slower than solving cold.
-
-TEST(QpProperty, WarmStartMatchesColdOnRandomProblems) {
-  Rng rng(71);
-  for (int trial = 0; trial < 10; ++trial) {
-    const size_t n = 4 + rng.below(8);
-    QpProblem p;
-    Matrix m(n, n);
-    for (size_t r = 0; r < n; ++r)
-      for (size_t c = 0; c < n; ++c) m(r, c) = rng.uniform(-1.0, 1.0);
-    p.p = m.transposed() * m;
-    for (size_t i = 0; i < n; ++i) p.p(i, i) += 1.0;
-    p.q.resize(n);
-    for (auto& v : p.q) v = rng.uniform(-3.0, 3.0);
-    p.a = Matrix::identity(n);
-    p.l.assign(n, -1.0);
-    p.u.assign(n, 1.0);
-
-    QpOptions opt;
-    opt.eps_abs = 1e-7;
-    opt.eps_rel = 1e-7;
-    QpSolver cold_solver;
-    const QpResult cold = cold_solver.solve(p, opt);
-    ASSERT_TRUE(cold.converged) << "trial " << trial;
-
-    QpWarmStart warm;
-    warm.x.resize(n);
-    warm.y.resize(n);
-    for (auto& v : warm.x) v = rng.uniform(-2.0, 2.0);
-    for (auto& v : warm.y) v = rng.uniform(-2.0, 2.0);
-    QpSolver warm_solver;
-    const QpResult r = warm_solver.solve(p, opt, warm);
-    ASSERT_TRUE(r.converged) << "trial " << trial;
-    EXPECT_TRUE(r.warm_started);
-    for (size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(r.x[i], cold.x[i], 1e-4) << "trial " << trial << " i " << i;
-  }
-}
-
-TEST(QpProperty, WarmFromNeighbourNeverSlowerOnDriftingSequence) {
-  // A receding-horizon stand-in: the same QP drifts slowly in q; one
-  // solver re-solves cold every step, the other carries its terminal
-  // iterates forward. Warm must win (strictly, summed over the run).
-  Rng rng(72);
-  const size_t n = 8;
-  QpProblem p;
-  Matrix m(n, n);
-  for (size_t r = 0; r < n; ++r)
-    for (size_t c = 0; c < n; ++c) m(r, c) = rng.uniform(-1.0, 1.0);
-  p.p = m.transposed() * m;
-  for (size_t i = 0; i < n; ++i) p.p(i, i) += 1.0;
-  p.q.resize(n);
-  for (auto& v : p.q) v = rng.uniform(-3.0, 3.0);
-  p.a = Matrix::identity(n);
-  p.l.assign(n, -1.0);
-  p.u.assign(n, 1.0);
-
-  QpSolver cold_solver;
-  QpSolver warm_solver;
-  QpWarmStart carry;
-  size_t cold_total = 0;
-  size_t warm_total = 0;
-  for (int step = 0; step < 12; ++step) {
-    for (auto& v : p.q) v += rng.uniform(-0.05, 0.05);
-    QpSolver fresh;  // cold baseline: no caches at all
-    const QpResult cold = fresh.solve(p);
-    const QpResult warm = step == 0 ? warm_solver.solve(p)
-                                    : warm_solver.solve(p, QpOptions{}, carry);
-    ASSERT_TRUE(cold.converged) << "step " << step;
-    ASSERT_TRUE(warm.converged) << "step " << step;
-    cold_total += cold.iterations;
-    warm_total += warm.iterations;
-    carry.x = warm.x;
-    carry.y = warm.y;
-    carry.rho = warm.rho_final;
-    for (size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(warm.x[i], cold.x[i], 1e-3) << "step " << step;
-  }
-  EXPECT_LT(warm_total, cold_total);
-}
-
-// ---------------------------------------------------------------------------
 // Augmented Lagrangian on a family of scaled circle problems.
 
 class CircleScale : public ::testing::TestWithParam<double> {};

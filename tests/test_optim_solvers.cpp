@@ -302,125 +302,6 @@ TEST(Qp, AdaptiveRhoCanBeDisabled) {
   EXPECT_NEAR(r.x[0], 0.5, 1e-4);
 }
 
-TEST(Qp, WarmStartFromSolutionConvergesAlmostInstantly) {
-  QpProblem p;
-  p.p = Matrix{{2.0, 0.5}, {0.5, 1.0}};
-  p.q = {-1.0, -1.0};
-  p.a = Matrix::identity(2);
-  p.l = {0.0, 0.0};
-  p.u = {0.6, 2.0};
-  QpSolver solver;
-  const QpResult cold = solver.solve(p);
-  ASSERT_TRUE(cold.converged);
-  EXPECT_FALSE(cold.warm_started);
-  EXPECT_GE(cold.kkt_refactorizations, 1u);
-
-  QpWarmStart warm;
-  warm.x = cold.x;
-  warm.y = cold.y;
-  warm.rho = cold.rho_final;
-  QpSolver fresh;  // warm start must not depend on cached solver state
-  const QpResult r = fresh.solve(p, QpOptions{}, warm);
-  EXPECT_TRUE(r.converged);
-  EXPECT_TRUE(r.warm_started);
-  EXPECT_LT(r.iterations, cold.iterations);
-  EXPECT_NEAR(r.x[0], cold.x[0], 1e-4);
-  EXPECT_NEAR(r.x[1], cold.x[1], 1e-4);
-}
-
-TEST(Qp, MismatchedWarmStartFallsBackToCold) {
-  QpProblem p;
-  p.p = Matrix::identity(2);
-  p.q = {-1.0, -1.0};
-  p.a = Matrix::identity(2);
-  p.l = {0.0, 0.0};
-  p.u = {0.5, 0.5};
-  QpWarmStart warm;
-  warm.x = {0.1};  // wrong size: silently cold-starts
-  QpSolver solver;
-  const QpResult r = solver.solve(p, QpOptions{}, warm);
-  EXPECT_TRUE(r.converged);
-  EXPECT_FALSE(r.warm_started);
-  EXPECT_NEAR(r.x[0], 0.5, 1e-4);
-}
-
-TEST(Qp, FactorizationReusedAcrossIdenticalSolves) {
-  QpProblem p;
-  p.p = Matrix{{2.0, 0.5}, {0.5, 1.0}};
-  p.q = {-1.0, 2.0};
-  p.a = Matrix{{1.0, 1.0}, {1.0, -1.0}};
-  p.l = {-1.0, -2.0};
-  p.u = {1.0, 2.0};
-  QpOptions o;
-  o.rho_update_interval = 0;  // keep rho fixed so the factor can persist
-  QpSolver solver;
-  const QpResult first = solver.solve(p, o);
-  const QpResult second = solver.solve(p, o);
-  EXPECT_GE(first.kkt_refactorizations, 1u);
-  EXPECT_EQ(second.kkt_refactorizations, 0u);  // full reuse
-  // Identical inputs through the cached factor: bit-identical outputs.
-  EXPECT_EQ(first.iterations, second.iterations);
-  for (size_t i = 0; i < 2; ++i) EXPECT_EQ(first.x[i], second.x[i]);
-}
-
-TEST(Qp, InPlaceKktUpdateMatchesFreshRebuild) {
-  // Same A, changed P: the persistent solver updates K in place and
-  // refactorises; a fresh solver rebuilds from scratch. Both must see
-  // the same problem, so the answers agree to solver tolerance.
-  QpProblem p;
-  p.p = Matrix{{2.0, 0.0}, {0.0, 1.0}};
-  p.q = {-1.0, -1.0};
-  p.a = Matrix{{1.0, 1.0}, {1.0, -1.0}};
-  p.l = {-1.0, -2.0};
-  p.u = {1.0, 2.0};
-  QpSolver persistent;
-  (void)persistent.solve(p);
-
-  p.p(0, 0) = 3.0;  // above any reuse tolerance
-  p.p(1, 1) = 0.5;
-  const QpResult incremental = persistent.solve(p);
-  EXPECT_EQ(incremental.kkt_refactorizations, 1u);
-  QpSolver scratch;
-  const QpResult rebuilt = scratch.solve(p);
-  ASSERT_TRUE(incremental.converged);
-  ASSERT_TRUE(rebuilt.converged);
-  EXPECT_NEAR(incremental.x[0], rebuilt.x[0], 1e-4);
-  EXPECT_NEAR(incremental.x[1], rebuilt.x[1], 1e-4);
-
-  // Changing A invalidates the Gram cache too — still correct.
-  p.a(0, 1) = 0.5;
-  const QpResult new_a = persistent.solve(p);
-  QpSolver scratch2;
-  const QpResult new_a_fresh = scratch2.solve(p);
-  ASSERT_TRUE(new_a.converged);
-  EXPECT_NEAR(new_a.x[0], new_a_fresh.x[0], 1e-4);
-  EXPECT_NEAR(new_a.x[1], new_a_fresh.x[1], 1e-4);
-}
-
-TEST(Qp, ToleratedPDriftReusesFactorWithoutChangingAnswer) {
-  QpProblem p;
-  p.p = Matrix{{2.0, 0.0}, {0.0, 1.0}};
-  p.q = {-1.0, -1.0};
-  p.a = Matrix::identity(2);
-  p.l = {-1.0, -1.0};
-  p.u = {1.0, 1.0};
-  QpOptions o;
-  o.rho_update_interval = 0;
-  o.kkt_refactor_tol = 1e-6;
-  QpSolver solver;
-  (void)solver.solve(p, o);
-  p.p(0, 0) += 1e-8;  // drift below tolerance: factor reused
-  const QpResult reused = solver.solve(p, o);
-  EXPECT_EQ(reused.kkt_refactorizations, 0u);
-  ASSERT_TRUE(reused.converged);
-  // Termination tested the TRUE P, so the answer matches a fresh solve
-  // to solver tolerance.
-  QpSolver scratch;
-  const QpResult fresh = scratch.solve(p, o);
-  EXPECT_NEAR(reused.x[0], fresh.x[0], 1e-4);
-  EXPECT_NEAR(reused.x[1], fresh.x[1], 1e-4);
-}
-
 TEST(Qp, RejectsBadShapes) {
   QpProblem p;
   p.p = Matrix::identity(2);

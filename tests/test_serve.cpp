@@ -177,6 +177,31 @@ TEST(ServeProtocol, StructuredFieldValidation) {
             std::string::npos);
 }
 
+TEST(ServeProtocol, OutOfRangeDeadlineIsRefusedAtTheWire) {
+  Server server(test_options());
+  // 1e400 parses to inf; 1e13 ms overflows the server's nanosecond
+  // deadline arithmetic. Both must stop at the parser.
+  for (const char* deadline : {"1e400", "1e13", "86400000.5"}) {
+    const std::string resp = server.handle_line(
+        std::string("{\"schema\":\"otem.serve.v1\",\"method\":\"run\","
+                    "\"deadline_ms\":") +
+        deadline + "}");
+    EXPECT_NE(resp.find("\"error\":\"bad_request\""), std::string::npos)
+        << deadline << ": " << resp;
+  }
+  // The bound itself (one day) is accepted and runs to completion.
+  EXPECT_DOUBLE_EQ(parse_request("{\"schema\":\"otem.serve.v1\","
+                                 "\"method\":\"run\",\"deadline_ms\":"
+                                 "86400000}")
+                       .deadline_ms,
+                   kMaxDeadlineMs);
+  const std::string resp = server.handle_line(
+      "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"deadline_ms\":"
+      "86400000,\"overrides\":{\"method\":\"parallel\",\"synthetic\":"
+      "true,\"synthetic_duration_s\":30}}");
+  EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+}
+
 TEST(ServeProtocol, ServerSideOutputOverridesAreRefused) {
   Server server(test_options());
   const std::string resp = server.handle_line(
