@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Fail when the instrumentation overhead exceeds its budget.
 
-Reads a google-benchmark JSON file (as written by perf_fleet with
---benchmark_out) and compares BM_FleetEvaluate/N (bare fleet) against
-its instrumented variants at the same thread count:
+Reads a google-benchmark JSON file (as written by perf_campaign with
+--benchmark_out) and compares BM_Campaign/N (bare campaign::run_campaign)
+against its instrumented variants at the same thread count:
 
-  BM_FleetEvaluateMetrics/N — shared MetricsRegistry, DiagnosticsSink
-      per mission, step-loop timing on;
-  BM_FleetEvaluateTraced/N  — all of the above PLUS the span tracer
-      enabled (fleet.mission / sim.run / sim.step spans into the
-      per-thread flight-recorder rings).
+  BM_CampaignMetrics/N — metrics registry attached: every scenario
+      feeds the shared sim.*/solver.* instruments through a
+      DiagnosticsSink, step-loop timing on, campaign.scenario_us sketch;
+  BM_CampaignTraced/N  — all of the above PLUS the span tracer enabled
+      (scenario.run / sim.run / sim.step spans into the per-thread
+      flight-recorder rings).
 
 The contract — enforced in CI — is that each variant costs < 5 %
-wall-clock over the bare fleet. The measured delta is printed per
+wall-clock over the bare campaign. The measured delta is printed per
 variant and thread count.
 
-Usage: check_overhead.py BENCH_fleet.json [--max-percent 5.0]
+Usage: check_overhead.py BENCH_campaign.json [--max-percent 5.0]
 
 When the file was produced with --benchmark_repetitions, the MINIMUM
 real_time per benchmark is used: the min is the least noisy statistic
@@ -31,12 +32,12 @@ import sys
 
 import checklib
 
-NAME_RE = re.compile(r"^(BM_FleetEvaluate(?:Metrics|Traced)?)/(\d+)")
+NAME_RE = re.compile(r"^(BM_Campaign(?:Metrics|Traced)?)/(\d+)")
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 VARIANTS = [
-    ("BM_FleetEvaluateMetrics", "metrics"),
-    ("BM_FleetEvaluateTraced", "traced"),
+    ("BM_CampaignMetrics", "metrics"),
+    ("BM_CampaignTraced", "traced"),
 ]
 
 
@@ -63,7 +64,7 @@ def main():
     data = checklib.load_release_bench(args.bench_json)
     best = best_times(data["benchmarks"])
 
-    base = best.get("BM_FleetEvaluate", {})
+    base = best.get("BM_Campaign", {})
     compared = 0
     failed = False
     print(f"{'variant':>8}  {'threads':>7}  {'bare_ms':>10}  "
@@ -81,7 +82,7 @@ def main():
             print(f"{label:>8}  {threads:>7}  {t0 / 1e6:>10.2f}  "
                   f"{t1 / 1e6:>10.2f}  {overhead:>+7.2f}%{flag}")
     if compared == 0:
-        print("error: no BM_FleetEvaluate vs instrumented-variant pairs "
+        print("error: no BM_Campaign vs instrumented-variant pairs "
               f"in {args.bench_json}", file=sys.stderr)
         return 1
     return 1 if failed else 0

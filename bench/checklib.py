@@ -45,7 +45,7 @@ def iteration_rows(benchmarks):
 def load_release_bench(path):
     """Load a google-benchmark JSON file, refusing non-Release builds.
 
-    perf_solver / perf_fleet stamp context.repo_build_type with how the
+    perf_solver / perf_campaign stamp context.repo_build_type with how the
     repo's own code was compiled ("release" iff NDEBUG). The stock
     context.library_build_type key only reports how the google-benchmark
     LIBRARY was built (debug on many distros), which is why a debug

@@ -10,12 +10,11 @@
 
 #include "battery/aging.h"
 #include "battery/battery_model.h"
-#include "core/batch_methodology.h"
 #include "core/parallel_methodology.h"
+#include "core/plant_state.h"
 #include "core/system_spec.h"
 #include "hees/hybrid_arch.h"
 #include "hees/parallel_arch.h"
-#include "sim/plant_batch.h"
 #include "sim/simulator.h"
 #include "sim/step_sink.h"
 #include "thermal/cooling_system.h"
@@ -116,15 +115,19 @@ void BM_HybridArchStep(benchmark::State& state) {
 }
 BENCHMARK(BM_HybridArchStep);
 
-// --- plant stepping: scalar oracle vs SoA batch -------------------------
-// The same 64 short synthetic missions, stepped either one at a time
-// through the scalar Simulator loop or in lockstep through a PlantBatch
-// at increasing lane widths. items/s = mission-steps/s in both, so the
-// two families are directly comparable; bench/check_batch.py gates
-// batched >= 1.5x scalar on a single thread.
+// --- plant stepping -----------------------------------------------------
+// 64 short synthetic missions stepped one at a time through the
+// Simulator loop under the parallel baseline; items/s =
+// mission-steps/s on a single thread.
+
+struct PlantMission {
+  core::SystemSpec spec;
+  TimeSeries load;
+  core::PlantState initial;
+};
 
 struct PlantWorkload {
-  std::vector<sim::BatchMission> missions;
+  std::vector<PlantMission> missions;
   size_t total_steps = 0;
 };
 
@@ -133,7 +136,7 @@ PlantWorkload& plant_workload() {
     PlantWorkload out;
     const core::SystemSpec& base = spec();
     for (std::uint64_t m = 0; m < 64; ++m) {
-      sim::BatchMission mission;
+      PlantMission mission;
       mission.spec = base;
       mission.spec.ambient_k = 286.0 + static_cast<double>(m % 16);
       const TimeSeries speed =
@@ -155,7 +158,7 @@ void BM_PlantScalarStep(benchmark::State& state) {
   PlantWorkload& w = plant_workload();
   std::int64_t steps = 0;
   for (auto _ : state) {
-    for (sim::BatchMission& m : w.missions) {
+    for (const PlantMission& m : w.missions) {
       core::ParallelMethodology methodology(m.spec);
       sim::RunOptions ropt;
       ropt.record_trace = false;
@@ -171,31 +174,6 @@ void BM_PlantScalarStep(benchmark::State& state) {
   state.SetItemsProcessed(steps);  // items/s = mission-steps/s
 }
 BENCHMARK(BM_PlantScalarStep)->Unit(benchmark::kMillisecond);
-
-void BM_PlantBatchStep(benchmark::State& state) {
-  const size_t lanes = static_cast<size_t>(state.range(0));
-  PlantWorkload& w = plant_workload();
-  std::vector<sim::MetricsAccumulator> metrics(w.missions.size());
-  for (size_t m = 0; m < w.missions.size(); ++m)
-    w.missions[m].sinks = {&metrics[m]};
-  sim::PlantBatch batch(
-      core::make_batch_methodology("parallel", spec(), lanes));
-  std::int64_t steps = 0;
-  for (auto _ : state) {
-    batch.run(w.missions);
-    benchmark::DoNotOptimize(metrics.front().take().qloss_percent);
-    steps += static_cast<std::int64_t>(w.total_steps);
-  }
-  state.SetItemsProcessed(steps);
-  state.counters["lanes"] = static_cast<double>(lanes);
-}
-BENCHMARK(BM_PlantBatchStep)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_GenerateCycle(benchmark::State& state) {
   for (auto _ : state) {
@@ -216,7 +194,7 @@ BENCHMARK(BM_PowerTrace);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Same stamp as perf_solver/perf_fleet: how THIS repo was compiled,
+  // Same stamp as perf_solver/perf_campaign: how THIS repo was compiled,
   // which the bench/check_*.py gates require to be "release" (the stock
   // library_build_type key only describes the benchmark library).
 #ifdef NDEBUG

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# run_benchmarks.sh — regenerate BENCH_fleet.json and BENCH_solver.json,
-# the perf trajectories later PRs regress against.
+# run_benchmarks.sh — regenerate BENCH_campaign.json and
+# BENCH_solver.json, the perf trajectories later changes regress against.
 #
 # Usage: bench/run_benchmarks.sh [--allow-debug] [build-dir]
 #
@@ -16,21 +16,19 @@
 # committed baseline. Pass --allow-debug to measure a debug build
 # anyway (throwaway local profiling only — the gates will reject it).
 #
-# BENCH_fleet.json (perf_fleet):
-#   - BM_FleetEvaluate/N        fleet wall-clock at N threads (N=1 serial)
-#   - BM_FleetEvaluateMetrics/N the same fleet with a metrics registry
+# BENCH_campaign.json (perf_campaign), measured the way the CI overhead
+# step measures it — 5 repetitions, min_time 0.3, random interleaving —
+# so the committed record and the CI gate agree:
+#   - BM_Campaign/N             campaign::run_campaign wall-clock at N
+#                               worker threads (16 routes x parallel)
+#   - BM_CampaignMetrics/N      the same campaign with a metrics registry
 #                               attached (instrumentation overhead)
-#   - BM_FleetEvaluateTraced/N  metrics + the span tracer enabled (the
+#   - BM_CampaignTraced/N       metrics + the span tracer enabled (the
 #                               tracing-on overhead check_overhead.py
 #                               also holds to the < 5% budget)
-#   - BM_FleetEvaluateBatch/N/L the SoA batched fleet path at N threads
-#                               with L-lane PlantBatches per worker
 #   - BM_ObsCounterAdd etc.     obs primitive micro-costs, including
 #                               BM_ObsSketchRecord and the
 #                               BM_TraceSpan{Enabled,Disabled} pair
-# (perf_models carries BM_PlantScalarStep / BM_PlantBatchStep/L, the
-# single-thread mission-steps/s pair bench/check_batch.py gates on in
-# CI; it is not part of the committed baselines.)
 # BENCH_solver.json (perf_solver):
 #   - BM_MpcForward[Backward]/h rollout + adjoint micro-costs
 #   - BM_OtemSolve/h            full augmented-Lagrangian control steps
@@ -49,16 +47,14 @@
 #                               solve_p99_us are sketch-derived per-solve
 #                               latency quantiles (the ECU tail budget)
 # Derive the headline numbers as
-#   fleet speedup  = real_time(threads=1) / real_time(threads=8)
+#   campaign speedup = real_time(threads=1) / real_time(threads=8)
 #   warm-start win = 1 - admm_iters_median(w=1) / admm_iters_median(w=0)
 # CI gates:
-#   python3 bench/check_overhead.py BENCH_fleet.json     (< 5% overhead)
+#   python3 bench/check_overhead.py BENCH_campaign.json  (< 5% overhead)
 #   python3 bench/check_warm_start.py BENCH_solver.json --min-percent 85
 #                                                        (>= 85% fewer iters)
 #   python3 bench/check_banded.py BENCH_solver.json      (O(H) block ops,
 #                                                        iters <= ceilings)
-#   python3 bench/check_batch.py <perf_models json>      (>= 1.5x scalar)
-#   python3 bench/check_vectorization.py <build log>     (lane loops SIMD)
 set -euo pipefail
 
 ALLOW_DEBUG=0
@@ -68,10 +64,10 @@ if [[ "${1:-}" == "--allow-debug" ]]; then
 fi
 
 BUILD_DIR="${1:-build}"
-FLEET_BIN="$BUILD_DIR/bench/perf_fleet"
+CAMPAIGN_BIN="$BUILD_DIR/bench/perf_campaign"
 SOLVER_BIN="$BUILD_DIR/bench/perf_solver"
 
-for BIN in "$FLEET_BIN" "$SOLVER_BIN"; do
+for BIN in "$CAMPAIGN_BIN" "$SOLVER_BIN"; do
   if [[ ! -x "$BIN" ]]; then
     echo "error: $BIN not found — build first:" >&2
     echo "  cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
@@ -90,14 +86,17 @@ if [[ "$BUILD_TYPE" != "Release" && "$ALLOW_DEBUG" != 1 ]]; then
   exit 1
 fi
 
-# min_time keeps the fleet benches to a few iterations each; raise it
-# for publication-quality numbers.
-"$FLEET_BIN" \
-  --benchmark_out=BENCH_fleet.json \
+# The CI overhead step's repetitions, min_time and interleaving: the
+# overhead gate compares minima across repetitions, and a single
+# repetition of each row is too noisy to hold a 5 % budget.
+"$CAMPAIGN_BIN" \
+  --benchmark_out=BENCH_campaign.json \
   --benchmark_out_format=json \
-  --benchmark_min_time=0.5
+  --benchmark_repetitions=5 \
+  --benchmark_min_time=0.3 \
+  --benchmark_enable_random_interleaving=true
 
-echo "wrote BENCH_fleet.json"
+echo "wrote BENCH_campaign.json"
 
 "$SOLVER_BIN" \
   --benchmark_out=BENCH_solver.json \

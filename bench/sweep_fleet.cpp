@@ -55,8 +55,10 @@ int main(int argc, char** argv) {
       static_cast<size_t>(cfg.get_long("checkpoint_every", 1000));
   opts.resume_from = cfg.get_string("resume", "");
   opts.summary_out = cfg.get_string("summary_out", "");
-  // "metrics_out=fleet.json" captures campaign counters (and, in fabric
-  // mode, serve client retries) into one otem.metrics.v1 snapshot.
+  // "metrics_out=fleet.json" captures the scenarios' sim.*/solver.*
+  // instruments, the campaign counters and per-methodology scenario
+  // wall-time sketches (and, in fabric mode, serve client retries) into
+  // one otem.metrics.v1 snapshot.
   const std::string metrics_out = cfg.get_string("metrics_out", "");
   obs::MetricsRegistry registry;
   if (!metrics_out.empty()) opts.metrics = &registry;

@@ -132,6 +132,13 @@ CampaignAccumulator::CampaignAccumulator(size_t sketch_k) : k_(sketch_k) {}
 
 void CampaignAccumulator::commit(const std::string& group,
                                  const ScenarioResult& r) {
+  // Checked before anything is folded: a refused result leaves the
+  // accumulator exactly as it was.
+  for (size_t d = 0; d < ScenarioResult::kDims; ++d)
+    OTEM_REQUIRE(std::isfinite(r.dim(d)),
+                 std::string("campaign: non-finite ") +
+                     ScenarioResult::dim_name(d) + " in a '" + group +
+                     "' result");
   auto it = groups_.find(group);
   if (it == groups_.end()) {
     Group g;

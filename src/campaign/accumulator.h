@@ -52,8 +52,7 @@ struct ScenarioResult {
 };
 
 /// One-pass Welford mean/variance with exact running sum and extrema.
-/// Deterministic for a fixed fold order; stddev is the population form
-/// (matches sim::FleetStats).
+/// Deterministic for a fixed fold order; stddev is the population form.
 class Welford {
  public:
   void add(double v);
@@ -82,7 +81,10 @@ class CampaignAccumulator {
   explicit CampaignAccumulator(size_t sketch_k = obs::kDefaultSketchK);
 
   /// Fold one scenario's record into `group`. MUST be called in
-  /// scenario index order — the committer enforces that.
+  /// scenario index order — the committer enforces that. Throws
+  /// otem::SimError naming the group and dimension, and folds nothing,
+  /// when any dimension of `r` is non-finite (fabric results arrive
+  /// from remote daemons, so this is the campaign's input check).
   void commit(const std::string& group, const ScenarioResult& r);
 
   std::uint64_t committed() const { return committed_; }

@@ -8,6 +8,7 @@
 #include <exception>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_set>
@@ -16,7 +17,10 @@
 #include "campaign/checkpoint.h"
 #include "common/error.h"
 #include "common/strings.h"
+#include "obs/sketch.h"
+#include "obs/timer.h"
 #include "serve/protocol.h"
+#include "sim/obs_sink.h"
 #include "sim/scenario.h"
 
 namespace otem::campaign {
@@ -189,10 +193,29 @@ Config make_private_config(
   return cfg;
 }
 
+/// What a campaign with a metrics registry attached records, resolved
+/// once up front: the sim.*/solver.* bundle every local scenario's
+/// DiagnosticsSink writes into (the same names `run` reports), and one
+/// campaign.scenario_us.<methodology> wall-time sketch per grid
+/// methodology, indexed like Grid::methodologies.
+struct WorkerInstruments {
+  WorkerInstruments(obs::MetricsRegistry& registry, const Grid& grid,
+                    bool local)
+      : diagnostics(local ? std::make_unique<sim::DiagnosticsSink::Instruments>(
+                                registry)
+                          : nullptr) {
+    for (const std::string& m : grid.methodologies)
+      scenario_us.push_back(&registry.sketch("campaign.scenario_us." + m));
+  }
+  std::unique_ptr<sim::DiagnosticsSink::Instruments> diagnostics;
+  std::vector<obs::Sketch*> scenario_us;
+};
+
 ScenarioResult run_local(
     const ScenarioSpec& s, const core::SystemSpec& base_spec,
     const std::vector<std::pair<std::string, std::string>>& base_pairs,
-    const CampaignOptions& options) {
+    const CampaignOptions& options,
+    const sim::DiagnosticsSink::Instruments* diagnostics) {
   core::SystemSpec spec = base_spec.with_ultracap_size(
       base_spec.ultracap.capacitance_f * s.uc_scale);
   spec.ambient_k = s.ambient_k;
@@ -215,8 +238,14 @@ ScenarioResult run_local(
     scenario.trace_csv = options.telemetry_csv_prefix + s.id + ".csv";
 
   const Config cfg = make_private_config(base_pairs);
+  std::unique_ptr<sim::DiagnosticsSink> sink;
+  std::vector<sim::StepSink*> sinks;
+  if (diagnostics != nullptr) {
+    sink = std::make_unique<sim::DiagnosticsSink>(*diagnostics);
+    sinks.push_back(sink.get());
+  }
   const sim::ScenarioOutcome outcome =
-      sim::run_scenario(scenario, spec, cfg, {}, options.stop);
+      sim::run_scenario(scenario, spec, cfg, sinks, options.stop);
   return ScenarioResult::from_run(outcome.result);
 }
 
@@ -405,6 +434,13 @@ CampaignOutcome run_campaign(const Grid& grid,
   if (threads == 0) threads = 1;
   if (total > 0 && threads > total) threads = static_cast<size_t>(total);
 
+  std::unique_ptr<const WorkerInstruments> instruments;
+  if (options.metrics != nullptr)
+    instruments =
+        std::make_unique<WorkerInstruments>(*options.metrics, grid, !fabric);
+  const sim::DiagnosticsSink::Instruments* diagnostics =
+      instruments ? instruments->diagnostics.get() : nullptr;
+
   std::atomic<std::uint64_t> next{restored_watermark};
   std::mutex failure_mutex;
   std::exception_ptr failure;
@@ -415,11 +451,15 @@ CampaignOutcome run_campaign(const Grid& grid,
       if (index >= total) return;
       if (restored_indices.count(index) != 0) continue;
       if (!committer.wait_turn(index)) return;
-      const ScenarioSpec s = grid.at(index);
       try {
+        const ScenarioSpec s = grid.at(index);
+        const double t0_us = instruments ? obs::now_us() : 0.0;
         ScenarioResult result =
             fabric ? run_remote(s, base_spec, base_pairs, options)
-                   : run_local(s, base_spec, base_pairs, options);
+                   : run_local(s, base_spec, base_pairs, options, diagnostics);
+        if (instruments)
+          instruments->scenario_us[index % grid.methodologies.size()]->record(
+              obs::now_us() - t0_us);
         committer.submit(index, std::move(result));
       } catch (const SimCancelled&) {
         return;  // stop token fired mid-mission; wait_turn halts next trip
@@ -434,9 +474,12 @@ CampaignOutcome run_campaign(const Grid& grid,
     }
   };
 
+  // The calling thread is one of the workers, so a serial campaign
+  // starts no thread at all.
   std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
+  pool.reserve(threads - 1);
+  for (size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
 
   if (failure) std::rethrow_exception(failure);

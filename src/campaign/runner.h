@@ -78,8 +78,12 @@ struct CampaignOptions {
   /// pollute its cache keying.
   std::vector<std::string> local_only_keys;
 
-  /// Optional diagnostics registry: campaign.* counters plus the serve
-  /// client's retry counter accumulate here.
+  /// Optional diagnostics registry. Local scenarios feed the same
+  /// sim.*/solver.* instruments as `run` (one shared DiagnosticsSink
+  /// bundle); every scenario's wall time lands in the
+  /// campaign.scenario_us.<methodology> sketch; the campaign.* counters
+  /// and, in fabric mode, the serve client's retry counter accumulate
+  /// here too. Observing only: the summary bytes do not depend on it.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Cooperative cancel: checked between scenarios and passed into the

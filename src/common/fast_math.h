@@ -1,16 +1,12 @@
-// fast_math.h — branch-free transcendentals for SIMD lane kernels.
+// fast_math.h — branch-free, deterministic transcendentals.
 //
 // The plant's electro-chemical models are exp-bound: open-circuit
 // voltage, the two Arrhenius factors (resistance, capacity fade) and
-// the RC decay all call exp every step. libm's exp is scalar-only
-// (glibc's vectorized libmvec variant is NOT bit-identical to it, so
-// auto-vectorizing a loop around std::exp would change results), which
-// caps a structure-of-arrays lane loop at scalar speed. This header
-// provides one deterministic exp used by BOTH the scalar oracle path
-// and the batched lane kernels: pure arithmetic, no tables, no
-// branches on the value path, so the compiler can vectorize a lane
-// loop around it while every lane still computes exactly the value the
-// scalar call computes.
+// the RC decay all call exp every step. This header provides one
+// deterministic exp for those kernels: pure arithmetic, no tables, no
+// branches on the value path, so its result depends only on IEEE 754
+// mul/add/div and never on the libm build or on vectorization (the
+// golden reports pin its bits).
 //
 // Accuracy: ~2 ulp over the clamped range (degree-13 Taylor on
 // |r| <= ln2/2 after 2^k range reduction). NOT a drop-in for std::exp
@@ -25,9 +21,8 @@
 
 namespace otem::fastmath {
 
-/// Deterministic, auto-vectorizable exp(x). Identical on the scalar and
-/// SIMD paths because every operation (mul/add/div and the int<->double
-/// bit casts) is exactly specified by IEEE 754.
+/// Deterministic exp(x): every operation (mul/add/div and the
+/// int<->double bit casts) is exactly specified by IEEE 754.
 inline double exp(double x) {
   // Clamp to the range where the 2^k scale stays a normal double.
   x = x < -708.0 ? -708.0 : x;

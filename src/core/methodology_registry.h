@@ -4,7 +4,7 @@
 // Every runner used to hand-construct its controllers (at one point 17
 // binaries included the methodology headers directly); the registry
 // makes "which strategy" a plain string resolved at run time, so the
-// CLI, the scenario engine, the benches and the fleet harness all share
+// CLI, the scenario engine, the benches and the campaign runner all share
 // one construction path. A factory receives the SystemSpec it must
 // control plus the experiment Config, from which it reads its own
 // parameter namespace ("otem.*", "dual.*", "cooling.*", "forecast").

@@ -1,6 +1,6 @@
 // thread_pool.h — execution subsystem: a work-stealing-free, index-batch
-// thread pool for the embarrassingly-parallel layers (fleet evaluation,
-// parameter sweeps, bench grids), plus a submit() side door for
+// thread pool for the embarrassingly-parallel layers (parameter sweeps,
+// bench grids), plus a submit() side door for
 // independent long-lived tasks (the serve daemon's request dispatch).
 //
 // Design constraints, in order:

@@ -124,9 +124,9 @@ JsonlEventSink::JsonlEventSink(const std::string& path, size_t every)
 
 void JsonlEventSink::begin(const RunContext& ctx) {
   dt_ = ctx.dt;
-  // Reset per-run state: a sink re-armed for a new run (lane backfill)
-  // must not report the previous occupant's final qloss if the new run
-  // ends before any sample is recorded.
+  // Reset per-run state: a sink re-armed for a new run must not report
+  // the previous occupant's final qloss if the new run ends before any
+  // sample is recorded.
   qloss_final_ = 0.0;
   Json e = Json::object();
   e.set("event", "run_begin");

@@ -4,7 +4,7 @@
 // distributions inside an obs::MetricsRegistry: solver iteration /
 // residual / latency histograms, step-loop timings, fallback and
 // convergence counters. It BORROWS the registry, so any number of
-// concurrent runs (fleet missions on the thread pool) can aggregate
+// concurrent runs (campaign workers) can aggregate
 // into one registry — the sharded instruments make that safe — while a
 // second sink with a mission-local registry captures the per-mission
 // view.
@@ -51,8 +51,8 @@ class DiagnosticsSink final : public StepSink {
   static constexpr size_t kTimingStride = 64;
 
   /// The resolved instrument references for one name prefix. Resolving
-  /// takes 22 mutex-guarded registry lookups — a fleet shares ONE
-  /// bundle across all its missions instead of resolving per mission.
+  /// takes 22 mutex-guarded registry lookups — a campaign shares ONE
+  /// bundle across all its scenarios instead of resolving per scenario.
   struct Instruments {
     explicit Instruments(obs::MetricsRegistry& registry,
                          const std::string& prefix = "");
@@ -82,11 +82,11 @@ class DiagnosticsSink final : public StepSink {
 
   /// Registers (or finds) the instruments in `registry` eagerly, so the
   /// record path is lock-free. `prefix` namespaces the metric names
-  /// ("fleet.", "otem.", ...).
+  /// ("otem.", ...).
   explicit DiagnosticsSink(obs::MetricsRegistry& registry,
                            const std::string& prefix = "")
       : instruments_(registry, prefix) {}
-  /// Shares a pre-resolved bundle (fleet missions).
+  /// Shares a pre-resolved bundle (campaign scenarios).
   explicit DiagnosticsSink(const Instruments& instruments)
       : instruments_(instruments) {}
 

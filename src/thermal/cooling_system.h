@@ -104,9 +104,9 @@ struct StepMatrix {
 };
 
 /// One affine thermal update in place. This is the single source of the
-/// step arithmetic: CoolingSystem::step, PackThermalModel's segment
-/// sweep and the lane-batched step_lanes all call it, so the scalar and
-/// batched paths produce bit-identical doubles by construction.
+/// step arithmetic: CoolingSystem::step and PackThermalModel's segment
+/// sweep both call it, so they produce bit-identical doubles by
+/// construction.
 inline void apply_step(const StepMatrix& m, double& t_battery_k,
                        double& t_coolant_k, double q_bat_w,
                        double t_inlet_k) {
@@ -132,23 +132,9 @@ class CoolingSystem {
   ThermalState step(const ThermalState& s, double q_bat_w, double t_inlet_k,
                     double dt) const;
 
-  /// Batched variant over n lanes of contiguous state arrays, updated in
-  /// place. The caller hoists the StepMatrix (it depends only on params
-  /// and dt), which is also what makes the loop a pure affine sweep the
-  /// compiler can vectorize. Per lane this is apply_step(), so results
-  /// are bit-identical to step().
-  static void step_lanes(const StepMatrix& m, double* t_battery_k,
-                         double* t_coolant_k, const double* q_bat_w,
-                         const double* t_inlet_k, size_t n);
-
   /// Passive inlet temperature (cooler off): the ambient radiator sheds
   /// eps of the outlet-to-ambient difference.
   double passive_inlet(double t_coolant_k, double t_ambient_k) const;
-
-  /// Batched passive_inlet over n lanes (bit-identical per lane).
-  void passive_inlet_lanes(const double* t_coolant_k,
-                           const double* t_ambient_k, double* t_inlet_k,
-                           size_t n) const;
 
   /// Inlet temperature achieved when the cooler additionally spends
   /// electric power p_c [W] (Eq. 16 inverted), clamped to the

@@ -59,16 +59,6 @@ double BankModel::step_soe(double soe_percent, double power_w,
   return std::clamp(soe_percent + soe_rate(power_w) * dt, 0.0, 100.0);
 }
 
-void BankModel::step_soe_lanes(double* soe_percent, const double* power_w,
-                               double dt, size_t n) const {
-  const double ecap = energy_capacity_j();
-  double* __restrict__ soe = soe_percent;
-  const double* __restrict__ p = power_w;
-  for (size_t l = 0; l < n; ++l) {
-    soe[l] = std::clamp(soe[l] + (-100.0 * p[l] / ecap) * dt, 0.0, 100.0);
-  }
-}
-
 double BankModel::max_discharge_power(double soe_percent, double dt) const {
   OTEM_REQUIRE(dt > 0.0, "dt must be positive");
   const double headroom_j =

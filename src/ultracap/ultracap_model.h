@@ -70,12 +70,6 @@ class BankModel {
   /// New SoE after drawing power p for dt seconds; clamps to [0, 100].
   double step_soe(double soe_percent, double power_w, double dt) const;
 
-  /// Batched step_soe over n lanes, in place. Same expression and
-  /// association order as the scalar path (the energy capacity is a
-  /// loop invariant either way), so results are bit-identical.
-  void step_soe_lanes(double* soe_percent, const double* power_w, double dt,
-                      size_t n) const;
-
   /// Largest discharge power sustainable for dt without crossing the
   /// minimum-SoE floor (>= 0).
   double max_discharge_power(double soe_percent, double dt) const;

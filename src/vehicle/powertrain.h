@@ -51,8 +51,7 @@ class Powertrain {
   /// Batched power_request over n samples/lanes. The road-load
   /// constants and trig terms are loop invariants and both branch arms
   /// are evaluated then selected, so the loop vectorizes while staying
-  /// bit-identical to the scalar path. Backs power_trace and the
-  /// batched fleet demand evaluation.
+  /// bit-identical to the scalar path. Backs power_trace.
   void power_lanes(const double* v_mps, const double* a_mps2,
                    double* p_bus_w, size_t n, double grade_rad = 0.0) const;
 

@@ -4,11 +4,15 @@
 // design exists for — the otem.campaign.v1 summary is BYTE-IDENTICAL
 // at any thread count, and a campaign halted after K commits and
 // resumed from its checkpoint (at a different thread count) produces
-// the same bytes as one that was never interrupted.
+// the same bytes as one that was never interrupted. Also: the
+// instruments campaign workers feed, per-scenario telemetry, and the
+// paper's OTEM-vs-parallel ordering over a paired random grid.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,7 +25,9 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/system_spec.h"
+#include "obs/metrics.h"
 #include "obs/sketch.h"
+#include "sim/scenario.h"
 
 namespace otem {
 namespace {
@@ -177,6 +183,41 @@ TEST(CampaignAccumulator, CheckpointRoundTripContinuesBitIdentically) {
   }
   EXPECT_EQ(restored.to_json().dump(), acc.to_json().dump());
   EXPECT_EQ(restored.groups_json().dump(), acc.groups_json().dump());
+}
+
+TEST(CampaignAccumulator, RefusesNonFiniteResultAndFoldsNothing) {
+  campaign::CampaignAccumulator acc;
+  for (int i = 0; i < 3; ++i) {
+    campaign::ScenarioResult r;
+    r.qloss_percent = 0.01 * (i + 1);
+    r.average_power_w = 1000.0 * (i + 1);
+    acc.commit("otem", r);
+  }
+  const std::string before = acc.to_json().dump();
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (size_t d = 0; d < campaign::ScenarioResult::kDims; ++d) {
+      for (const std::string group : {"otem", "dual"}) {
+        campaign::ScenarioResult r;
+        r.set_dim(d, bad);
+        try {
+          acc.commit(group, r);
+          ADD_FAILURE() << "accepted " << bad << " in "
+                        << campaign::ScenarioResult::dim_name(d);
+        } catch (const SimError& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find(campaign::ScenarioResult::dim_name(d)),
+                    std::string::npos)
+              << what;
+          EXPECT_NE(what.find("'" + group + "'"), std::string::npos) << what;
+        }
+        EXPECT_EQ(acc.to_json().dump(), before);
+      }
+    }
+  }
+  EXPECT_EQ(acc.committed(), 3u);
 }
 
 TEST(CampaignCheckpoint, FileRoundTripAndValidation) {
@@ -338,6 +379,164 @@ TEST(CampaignRunner, SummaryDocumentShape) {
                         std::istreambuf_iterator<char>());
   EXPECT_EQ(file_text, outcome.summary_text);
   std::remove(out.c_str());
+}
+
+TEST(CampaignRunner, LtvGridBytesIdenticalAcrossThreadsAndRepeats) {
+  // Warm-started ADMM and the banded KKT workspace carry solver state
+  // across steps INSIDE a scenario; each scenario owns its controller,
+  // so neither the worker count nor a repeat may change a byte.
+  campaign::Grid grid = small_grid();
+  grid.methodologies = {"otem-ltv"};
+  grid.min_duration_s = 60.0;
+  grid.max_duration_s = 120.0;
+  grid.uc_scales = {1.0};
+  Config cfg;
+  cfg.set("otem.horizon", "8");
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  campaign::CampaignOptions one;
+  one.threads = 1;
+  const std::string serial =
+      campaign::run_campaign(grid, spec, cfg, one).summary_text;
+  ASSERT_FALSE(serial.empty());
+  campaign::CampaignOptions four;
+  four.threads = 4;
+  EXPECT_EQ(campaign::run_campaign(grid, spec, cfg, four).summary_text,
+            serial);
+  EXPECT_EQ(campaign::run_campaign(grid, spec, cfg, four).summary_text,
+            serial);
+}
+
+/// Plant steps of scenario `s`: the length of the power trace the local
+/// runner drives (route and repeats only; the spec's UC size and
+/// ambient do not change it).
+size_t scenario_steps(const campaign::ScenarioSpec& s,
+                      const core::SystemSpec& spec) {
+  sim::Scenario sc;
+  sc.synthetic = true;
+  sc.synthetic_seed = s.route_seed;
+  sc.synthetic_duration_s = s.duration_s;
+  sc.synthetic_max_speed_mps = s.max_speed_mps;
+  return sim::scenario_power_trace(sc, spec).size();
+}
+
+TEST(CampaignRunner, RegistryFeedsRunInstrumentsWithoutChangingBytes) {
+  campaign::Grid grid = small_grid();
+  grid.methodologies = {"parallel", "otem-ltv"};
+  grid.min_duration_s = 40.0;
+  grid.max_duration_s = 80.0;
+  Config cfg;
+  cfg.set("otem.horizon", "8");
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  std::uint64_t all_steps = 0;
+  std::uint64_t ltv_steps = 0;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const campaign::ScenarioSpec s = grid.at(i);
+    const size_t steps = scenario_steps(s, spec);
+    all_steps += steps;
+    if (s.methodology == "otem-ltv") ltv_steps += steps;
+  }
+
+  campaign::CampaignOptions bare;
+  bare.threads = 2;
+  const std::string reference =
+      campaign::run_campaign(grid, spec, cfg, bare).summary_text;
+  ASSERT_FALSE(reference.empty());
+
+  for (size_t threads : {1u, 3u}) {
+    obs::MetricsRegistry registry;
+    campaign::CampaignOptions opt;
+    opt.threads = threads;
+    opt.metrics = &registry;
+    const campaign::CampaignOutcome outcome =
+        campaign::run_campaign(grid, spec, cfg, opt);
+    EXPECT_EQ(outcome.summary_text, reference) << "threads=" << threads;
+
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.counters.at("sim.steps"), all_steps);
+    // Only otem-ltv solves, once per control step.
+    EXPECT_EQ(snap.counters.at("solver.solves"), ltv_steps);
+    EXPECT_EQ(snap.counters.at("campaign.scenarios_run"), grid.size());
+    for (const std::string method : {"parallel", "otem-ltv"}) {
+      const obs::Sketch::Snapshot& s =
+          snap.sketches.at("campaign.scenario_us." + method);
+      EXPECT_EQ(s.count, grid.size() / 2) << method;
+      EXPECT_GT(s.p50, 0.0) << method;
+    }
+  }
+}
+
+TEST(CampaignRunner, TelemetryPrefixWritesOneCsvPerScenario) {
+  // Every scenario streams <prefix><id>.csv with one row per plant
+  // step, and the summary bytes match a run without telemetry (the
+  // sink only observes; it never feeds back).
+  campaign::Grid grid = small_grid();
+  grid.min_duration_s = 60.0;
+  grid.max_duration_s = 120.0;
+  const Config cfg;
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  campaign::CampaignOptions plain;
+  plain.threads = 2;
+  campaign::CampaignOptions streaming = plain;
+  const std::string prefix = temp_path("telemetry_");
+  streaming.telemetry_csv_prefix = prefix;
+
+  const std::string a =
+      campaign::run_campaign(grid, spec, cfg, plain).summary_text;
+  const std::string b =
+      campaign::run_campaign(grid, spec, cfg, streaming).summary_text;
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
+
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const campaign::ScenarioSpec s = grid.at(i);
+    const std::string path = prefix + s.id + ".csv";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing telemetry file " << path;
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line.rfind("t_s,p_load_w,", 0), 0u) << path;
+    size_t rows = 0;
+    while (std::getline(in, line)) ++rows;
+    EXPECT_EQ(rows, scenario_steps(s, spec)) << path;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CampaignRunner, OtemBeatsParallelInDistribution) {
+  // The paper's ordering must hold on a paired random grid, not just
+  // the fixed schedules: lower mean capacity loss and no more thermal
+  // violation than the parallel baseline on the same missions.
+  campaign::Grid grid;
+  grid.methodologies = {"parallel", "otem"};
+  grid.synthetic_routes = 5;
+  grid.min_duration_s = 300.0;
+  grid.max_duration_s = 500.0;
+  grid.soe0_min = 40.0;
+  grid.soe0_max = 100.0;
+  grid.seed = 99;
+  Config cfg;
+  cfg.set("otem.horizon", "12");
+  cfg.set("otem.solver.adam_iterations", "60");
+  cfg.set("otem.solver.outer_iterations", "2");
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+  campaign::CampaignOptions opt;
+  opt.threads = 4;
+  const campaign::CampaignOutcome outcome =
+      campaign::run_campaign(grid, spec, cfg, opt);
+  const Json* groups = outcome.summary.find("groups");
+  ASSERT_TRUE(groups != nullptr);
+  const auto stat = [&](const char* group, const char* dim,
+                        const char* key) {
+    return groups->find(group)->find("metrics")->find(dim)->find(key)
+        ->as_number();
+  };
+  EXPECT_LT(stat("otem", "qloss_percent", "mean"),
+            stat("parallel", "qloss_percent", "mean"));
+  EXPECT_LE(stat("otem", "thermal_violation_s", "sum"),
+            stat("parallel", "thermal_violation_s", "sum"));
 }
 
 }  // namespace

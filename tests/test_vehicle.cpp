@@ -226,6 +226,22 @@ TEST(Powertrain, TraceHasSameShapeAsSpeed) {
   EXPECT_DOUBLE_EQ(power.dt(), speed.dt());
 }
 
+TEST(Powertrain, PowerTraceMatchesPowerRequestBitForBit) {
+  // power_trace evaluates the whole trace in one vectorizable sweep;
+  // every sample must equal the scalar power_request exactly, on both
+  // sides of the regen branch.
+  const Powertrain pt = default_powertrain();
+  const TimeSeries speed = generate(CycleName::kUs06);
+  const double grade = 0.02;
+  const TimeSeries power = pt.power_trace(speed, grade);
+  ASSERT_EQ(power.size(), speed.size());
+  for (size_t k = 0; k < speed.size(); ++k) {
+    const double accel = k == 0 ? 0.0 : (speed[k] - speed[k - 1]) / speed.dt();
+    EXPECT_EQ(power[k], pt.power_request(speed[k], accel, grade))
+        << "sample " << k;
+  }
+}
+
 TEST(Powertrain, Us06DemandIsAggressive) {
   const Powertrain pt = default_powertrain();
   const TimeSeries p_us06 = pt.power_trace(generate(CycleName::kUs06));
