@@ -16,9 +16,13 @@ and fails when the sessionful serving path regresses:
               session layer lost the one thing it exists to preserve.
   accounting — every streamed step must be visible to the daemon's own
               serve.session.step_us sketch (client count == server
-              count), sessions opened == closed (none leaked or
-              evicted mid-test), and the sharded result cache counters
-              must be present so multi-worker serving keeps reporting.
+              count) and to its sim/solver instruments (sim.steps ==
+              client count, and solver.solves == client count for the
+              otem controllers, which solve on every step; the loadtest
+              reads the counters before its one-shot run), sessions
+              opened == closed (none leaked or evicted mid-test), and
+              the sharded result cache counters must be present so
+              multi-worker serving keeps reporting.
 
 Usage: check_serve.py BENCH_serve.json [--max-p50-us 1000]
        [--max-p99-us 20000] [--max-warm-cold-ratio 0.75]
@@ -106,6 +110,15 @@ def main():
             failures.append(
                 f"{name} = {counters.get(name)}, expected {clients} "
                 "(a session leaked, failed, or was evicted mid-test)")
+    stepped = ["sim.steps"]
+    if ctx.get("overrides", {}).get("method", "otem").startswith("otem"):
+        stepped.append("solver.solves")
+    for name in stepped:
+        if counters.get(name) != rtt.get("count"):
+            failures.append(
+                f"{name} = {counters.get(name)}, expected the "
+                f"{rtt.get('count')} streamed steps — sessions are not "
+                "feeding the daemon's sim/solver instruments")
     for name in ("serve.cache.hits", "serve.cache.misses"):
         if name not in counters:
             failures.append(f"counter {name} missing — the sharded "

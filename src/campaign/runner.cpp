@@ -17,6 +17,7 @@
 #include "campaign/checkpoint.h"
 #include "common/error.h"
 #include "common/strings.h"
+#include "exec/thread_pool.h"
 #include "obs/sketch.h"
 #include "obs/timer.h"
 #include "serve/protocol.h"
@@ -58,11 +59,10 @@ class Committer {
         watermark_(watermark),
         pending_(std::move(pending)),
         total_(total) {
-    const size_t threads = options.threads > 0
-                               ? options.threads
-                               : std::thread::hardware_concurrency();
+    const size_t threads = options.threads > 0 ? options.threads
+                                               : exec::default_concurrency();
     capacity_ = options.max_pending > 0 ? options.max_pending
-                                        : 4 * (threads > 0 ? threads : 1) + 16;
+                                        : 4 * threads + 16;
     last_checkpoint_ = watermark_;
     // A restored checkpoint may carry a foldable prefix (defensively —
     // writers fold eagerly, so this is normally a no-op).
@@ -430,8 +430,7 @@ CampaignOutcome run_campaign(const Grid& grid,
   }
 
   size_t threads =
-      options.threads > 0 ? options.threads : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
+      options.threads > 0 ? options.threads : exec::default_concurrency();
   if (total > 0 && threads > total) threads = static_cast<size_t>(total);
 
   std::unique_ptr<const WorkerInstruments> instruments;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -101,9 +102,9 @@ Server::Server(const ServerOptions& options)
     : options_(options),
       cache_(options.cache_bytes, std::max<size_t>(options.workers, 1),
              registry_),
+      run_instruments_(registry_),
       sessions_(SessionLimits{options.session_limit, options.session_ttl_s},
                 registry_),
-      run_instruments_(registry_),
       pool_(std::make_unique<exec::ThreadPool>(options.threads)),
       latency_us_(registry_.histogram("serve.request.latency_us",
                                       obs::latency_buckets_us())),
@@ -270,11 +271,6 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       worker_latency_[worker]->record(latency);
       return response;
     }
-    if (req.method == "session.open") {
-      const std::string response = handle_session_open(req);
-      worker_latency_[worker]->record(obs::now_us() - t0);
-      return response;
-    }
     if (req.method == "session.step") {
       const std::string response = handle_session_step(req);
       const double latency = obs::now_us() - t0;
@@ -282,8 +278,10 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       worker_latency_[worker]->record(latency);
       return response;
     }
-    if (req.method == "session.close") {
-      const std::string response = handle_session_close(req);
+    if (req.method == "session.open" || req.method == "session.close") {
+      const std::string response = req.method == "session.open"
+                                       ? handle_session_open(req)
+                                       : handle_session_close(req);
       worker_latency_[worker]->record(obs::now_us() - t0);
       return response;
     }
@@ -294,11 +292,12 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
                         "unknown method '" + req.method + "'");
 }
 
-std::string Server::handle_run(const Request& req) {
+std::optional<std::string> Server::resolve_request(const Request& req,
+                                                   Config& merged,
+                                                   sim::Scenario& scenario) {
   // A private Config per request: base pairs first, then the request's
   // overrides on top. Never share a Config across sessions — copies
   // share their consumed-key set, which concurrent reads would race on.
-  Config merged;
   for (const auto& [key, value] : base_pairs_) merged.set(key, value);
   for (const auto& [key, value] : req.overrides) {
     if (is_output_override(key)) {
@@ -309,8 +308,6 @@ std::string Server::handle_run(const Request& req) {
     }
     merged.set(key, value);
   }
-
-  sim::Scenario scenario;
   try {
     scenario = sim::Scenario::from_config(merged);
   } catch (const SimError& e) {
@@ -323,6 +320,15 @@ std::string Server::handle_run(const Request& req) {
   scenario.trace_csv.clear();
   scenario.metrics_out.clear();
   scenario.events_jsonl.clear();
+  return std::nullopt;
+}
+
+std::string Server::handle_run(const Request& req) {
+  Config merged;
+  sim::Scenario scenario;
+  if (std::optional<std::string> refusal =
+          resolve_request(req, merged, scenario))
+    return *refusal;
 
   std::string cache_key = canonical_scenario_key(scenario, merged);
   // hex_doubles changes the result BYTES (the report_hex block), so it
@@ -435,33 +441,17 @@ std::string Server::handle_session_open(const Request& req) {
                           "server is draining, not accepting new sessions");
   }
   Config merged;
-  for (const auto& [key, value] : base_pairs_) merged.set(key, value);
-  for (const auto& [key, value] : req.overrides) {
-    if (is_output_override(key)) {
-      return error_response(req.id, ErrorCode::kBadRequest,
-                            "override '" + key +
-                                "' is not allowed in serve mode (results "
-                                "are returned in the response)");
-    }
-    merged.set(key, value);
-  }
-
   sim::Scenario scenario;
-  try {
-    scenario = sim::Scenario::from_config(merged);
-  } catch (const SimError& e) {
-    return error_response(req.id, ErrorCode::kBadRequest, e.what());
-  }
-  scenario.record_trace = false;
-  scenario.trace_csv.clear();
-  scenario.metrics_out.clear();
-  scenario.events_jsonl.clear();
+  if (std::optional<std::string> refusal =
+          resolve_request(req, merged, scenario))
+    return *refusal;
 
   const std::string sid = sessions_.next_id();
   std::shared_ptr<Session> session;
   try {
     const obs::TraceSpan open_span("serve.session.open");
-    session = std::make_shared<Session>(sid, scenario, merged);
+    session =
+        std::make_shared<Session>(sid, scenario, merged, &run_instruments_);
   } catch (const SimError& e) {
     return error_response(req.id, ErrorCode::kBadRequest, e.what());
   }

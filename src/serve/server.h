@@ -44,9 +44,10 @@
 // and pins a resident controller + plant state; session.step executes
 // ONE control step on the connection thread — no pool dispatch, no
 // admission queue, warm starts carried across frames — and returns the
-// decision; session.close returns the accumulated report. Idle
-// sessions are evicted LRU-with-TTL; drain drops the whole table after
-// cancelling in-flight work.
+// decision; session.close returns the accumulated report. Sessions
+// feed the same sim.*/solver.* instruments as `run`. Idle sessions are
+// evicted LRU-with-TTL; drain drops the whole table after cancelling
+// in-flight work.
 //
 // Observability (registry(), all under serve.*): queue depth gauge,
 // request latency and queue-wait histograms AND quantile sketches
@@ -66,6 +67,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -168,6 +170,11 @@ class Server {
   obs::MetricsRegistry& registry() { return registry_; }
 
  private:
+  /// `run` and session.open's shared front half: fills `merged` and a
+  /// `scenario` without server-side outputs, or returns the refusal.
+  std::optional<std::string> resolve_request(const Request& request,
+                                             Config& merged,
+                                             sim::Scenario& scenario);
   std::string handle_run(const Request& request);
   std::string handle_session_open(const Request& request);
   std::string handle_session_step(const Request& request);
@@ -195,11 +202,11 @@ class Server {
 
   obs::MetricsRegistry registry_;
   ShardedResultCache cache_;
-  SessionManager sessions_;
   /// One pre-resolved sim/solver instrument bundle shared by every run
-  /// request (sharded instruments make concurrent runs safe), so the
-  /// metrics method surfaces solver.qp_warm_hits & co fleet-wide.
+  /// request and session (sharded instruments make concurrent runs
+  /// safe), so the metrics method surfaces solver.* fleet-wide.
   sim::DiagnosticsSink::Instruments run_instruments_;
+  SessionManager sessions_;
   std::unique_ptr<exec::ThreadPool> pool_;
 
   std::atomic<bool> stop_{false};

@@ -1,71 +1,52 @@
 #include "serve/session.h"
 
 #include "common/error.h"
-#include "core/methodology_registry.h"
 
 namespace otem::serve {
 
 Session::Session(std::string id, const sim::Scenario& scenario,
-                 const Config& cfg)
-    : id_(std::move(id)), methodology_name_(scenario.methodology) {
-  spec_ = core::SystemSpec::from_config(cfg);
-  if (scenario.ambient_k > 0.0) spec_.ambient_k = scenario.ambient_k;
+                 const Config& cfg,
+                 const sim::DiagnosticsSink::Instruments* instruments)
+    : id_(std::move(id)),
+      methodology_name_(scenario.methodology),
+      setup_(sim::prepare_scenario(scenario,
+                                   core::SystemSpec::from_config(cfg), cfg)),
+      diagnostics_(instruments != nullptr
+                       ? std::make_unique<sim::DiagnosticsSink>(*instruments)
+                       : nullptr),
+      stepper_(setup_.spec, *setup_.methodology, setup_.power,
+               setup_.initial,
+               diagnostics_ ? std::vector<sim::StepSink*>{&metrics_,
+                                                          diagnostics_.get()}
+                            : std::vector<sim::StepSink*>{&metrics_}) {}
 
-  power_ = sim::scenario_power_trace(scenario, spec_);
-  OTEM_REQUIRE(!power_.empty(), "session route resolved to zero steps");
-  // The same step period the batch runner would use: the route's.
-  dt_ = power_.dt();
-
-  state_ = scenario.initial;
-  if (scenario.soak) {
-    state_.t_battery_k = spec_.ambient_k;
-    state_.t_coolant_k = spec_.ambient_k;
-  }
-
-  methodology_ = core::make_methodology(scenario.methodology, spec_, cfg);
-  // The full route is the forecast P_hat_e (Algorithm 1 input); the
-  // session then steps through it — or past it, with explicit requests.
-  methodology_->reset(state_, power_);
-
-  metrics_.begin(sim::RunContext{spec_, dt_, /*steps=*/0, state_});
-}
+Session::~Session() { stepper_.finish(); }
 
 Session::StepOutcome Session::step(bool has_p, double p_request_w) {
   std::lock_guard<std::mutex> lock(mutex_);
-  double p_e = p_request_w;
-  if (!has_p) {
-    OTEM_REQUIRE(k_ < power_.size(),
-                 "session '" + id_ + "' route exhausted after " +
-                     std::to_string(power_.size()) +
-                     " steps; supply p_request_w to keep streaming");
-    p_e = power_[k_];
-  }
-
   StepOutcome out;
-  out.k = k_;
-  out.p_request_w = p_e;
-  out.rec = methodology_->step(state_, p_e, k_, dt_);
-  metrics_.record(sim::StepSample{k_, out.rec, state_, 0.0, 0.0, 0.0});
-  ++k_;
+  out.k = stepper_.steps_done();
+  out.p_request_w = p_request_w;
+  if (!has_p) {
+    OTEM_REQUIRE(out.k < setup_.power.size(),
+                 "session '" + id_ + "' route exhausted after " +
+                     std::to_string(setup_.power.size()) +
+                     " steps; supply p_request_w to keep streaming");
+    out.p_request_w = setup_.power[out.k];
+  }
+  out.rec = stepper_.step(out.p_request_w);
   return out;
 }
 
 sim::RunResult Session::close() {
   std::lock_guard<std::mutex> lock(mutex_);
-  metrics_.end(state_);
-  sim::RunResult result = metrics_.take();
-  // begin() could not know the mission length (the client decides when
-  // to hang up), so duration-derived fields are closed here.
-  result.duration_s = static_cast<double>(k_) * dt_;
-  result.average_power_w =
-      result.duration_s > 0.0 ? result.energy_hees_j / result.duration_s
-                              : 0.0;
-  return result;
+  stepper_.finish();
+  return metrics_.take();
 }
 
 size_t Session::steps_done() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return k_;
+  return stepper_.steps_done();
 }
 
 SessionManager::SessionManager(const SessionLimits& limits,
@@ -79,13 +60,6 @@ SessionManager::SessionManager(const SessionLimits& limits,
 std::string SessionManager::next_id() {
   return "s" + std::to_string(
                    next_id_.fetch_add(1, std::memory_order_relaxed));
-}
-
-void SessionManager::erase_locked(const std::string& id) {
-  const auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  lru_.erase(it->second.lru_pos);
-  entries_.erase(it);
 }
 
 void SessionManager::evict_locked(size_t headroom) {

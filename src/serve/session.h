@@ -1,26 +1,26 @@
 // session.h — resident mission sessions for the serve daemon.
 //
-// A Session pins everything one streamed mission needs between protocol
-// frames: the resolved SystemSpec, the route power trace (the
-// controller's forecast P_hat_e), a resident core::Methodology and the
-// live PlantState. session.step then costs exactly one
-// Methodology::step() — for otem-ltv that means the QP warm start and
-// KKT factorization carried inside LtvOtemController survive ACROSS
+// A Session pins the mission `run` would build (sim::prepare_scenario:
+// spec, route power trace as the forecast P_hat_e, initial state, a
+// resident core::Methodology) and holds a sim::MissionStepper open over
+// it. session.step is one stepper step — for otem-ltv the QP warm start
+// and KKT factorization carried inside LtvOtemController survive ACROSS
 // protocol steps, which is what makes a streamed control decision
-// sub-millisecond where a one-shot `run` request pays a cold solve.
-// A MetricsAccumulator rides along, so session.close returns the same
-// report shape a batch run would have produced for the steps streamed.
+// sub-millisecond where a one-shot `run` request pays a cold solve. A
+// MetricsAccumulator and (given the server's bundle) a DiagnosticsSink
+// ride the stepper, so session.close returns the report a batch run
+// would have produced for the steps streamed, and the steps count in
+// the daemon's sim.*/solver.* counters — also when the session is
+// evicted or dropped instead of closed.
 //
 // SessionManager owns the resident table: ids are server-assigned
-// ("s1", "s2", ...), lookups touch an LRU list, and eviction is
-// LRU-with-TTL — every access first retires sessions idle longer than
-// ttl_s, then evicts from the cold end until the table fits
-// max_sessions. An evicted or closed id simply stops resolving
-// (kUnknownSession); a step already executing on an evicted session
-// finishes safely on its shared_ptr. Instruments land in the registry
-// handed to the constructor: serve.sessions_active (gauge),
-// serve.sessions_evicted / serve.sessions_opened / serve.sessions_closed
-// (counters).
+// ("s1", "s2", ...), and eviction is LRU-with-TTL — every access first
+// retires sessions idle longer than ttl_s, then evicts from the cold end
+// until the table fits max_sessions. An evicted or closed id stops
+// resolving (kUnknownSession); a step already executing on an evicted
+// session finishes safely on its shared_ptr. Instruments:
+// serve.sessions_active (gauge), serve.sessions_evicted / _opened /
+// _closed (counters).
 #pragma once
 
 #include <atomic>
@@ -33,10 +33,9 @@
 #include <unordered_map>
 
 #include "common/config.h"
-#include "common/timeseries.h"
 #include "core/methodology.h"
-#include "core/system_spec.h"
 #include "obs/metrics.h"
+#include "sim/obs_sink.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 #include "sim/step_sink.h"
@@ -48,16 +47,23 @@ namespace otem::serve {
 /// two connections degrades to in-order execution, never a race.
 class Session {
  public:
-  /// Builds the spec, route trace and methodology from the same
-  /// scenario/config vocabulary `run` uses, then resets the methodology
-  /// with the full route as its forecast. Throws otem::SimError on any
-  /// invalid configuration (the server maps that to kBadRequest).
-  Session(std::string id, const sim::Scenario& scenario, const Config& cfg);
+  /// Builds the mission from the same scenario/config vocabulary `run`
+  /// uses (sim::prepare_scenario) and begins stepping it with the full
+  /// route as the forecast. When `instruments` is given, streamed steps
+  /// also feed that sim.*/solver.* bundle; it must outlive the session.
+  /// Throws otem::SimError on any invalid configuration (the server
+  /// maps that to kBadRequest).
+  Session(std::string id, const sim::Scenario& scenario, const Config& cfg,
+          const sim::DiagnosticsSink::Instruments* instruments = nullptr);
+  /// Ends the sinks if close() never ran (eviction, drain).
+  ~Session();
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
 
   const std::string& id() const { return id_; }
   const std::string& methodology() const { return methodology_name_; }
-  double dt() const { return dt_; }
-  size_t route_steps() const { return power_.size(); }
+  double dt() const { return setup_.power.dt(); }
+  size_t route_steps() const { return setup_.power.size(); }
 
   struct StepOutcome {
     size_t k = 0;             ///< step index that was just executed
@@ -81,13 +87,10 @@ class Session {
  private:
   std::string id_;
   std::string methodology_name_;
-  core::SystemSpec spec_;
-  double dt_ = 1.0;
-  TimeSeries power_;
-  std::unique_ptr<core::Methodology> methodology_;
-  core::PlantState state_;
+  sim::ScenarioSetup setup_;
   sim::MetricsAccumulator metrics_;
-  size_t k_ = 0;
+  std::unique_ptr<sim::DiagnosticsSink> diagnostics_;
+  sim::MissionStepper stepper_;
   mutable std::mutex mutex_;
 };
 
@@ -136,7 +139,6 @@ class SessionManager {
   /// Retire TTL-expired entries, then LRU-evict until `headroom` slots
   /// are free. Caller holds mutex_.
   void evict_locked(size_t headroom);
-  void erase_locked(const std::string& id);
 
   SessionLimits limits_;
   mutable std::mutex mutex_;

@@ -45,17 +45,11 @@ DiagnosticsSink::Instruments::Instruments(obs::MetricsRegistry& registry,
 void DiagnosticsSink::begin(const RunContext& ctx) {
   dt_ = ctx.dt;
   local_ = Local{};
-  // Every step is simulated whether or not this sink sees its sample
-  // (eventful_samples_only), so the step count is a run constant.
-  local_.steps = ctx.steps;
 }
 
 void DiagnosticsSink::record(const StepSample& sample) {
   // Scalars go into plain locals — the shared atomic instruments are
   // only touched from end() and from the histogram records below.
-  // qloss is cumulative, so the latest delivered sample (at worst the
-  // final step, which is always eventful) carries the run total.
-  local_.qloss_percent = sample.qloss_cum_percent;
   if (!sample.rec.feasible) ++local_.infeasible;
   if (sample.step_time_us > 0.0)
     instruments_.step_latency_us.record(sample.step_time_us);
@@ -94,8 +88,8 @@ void DiagnosticsSink::record(const StepSample& sample) {
     instruments_.constraint_violation.record(s.constraint_violation);
 }
 
-void DiagnosticsSink::end(const core::PlantState&) {
-  instruments_.steps.add(local_.steps);
+void DiagnosticsSink::end(const RunEnd& run) {
+  instruments_.steps.add(run.steps);
   if (local_.infeasible) instruments_.infeasible.add(local_.infeasible);
   if (local_.solves) instruments_.solves.add(local_.solves);
   if (local_.fallbacks) instruments_.fallbacks.add(local_.fallbacks);
@@ -113,8 +107,8 @@ void DiagnosticsSink::end(const core::PlantState&) {
     instruments_.qp_polish_rounds.add(local_.qp_polish_rounds);
   if (local_.qp_polish_capped)
     instruments_.qp_polish_capped.add(local_.qp_polish_capped);
-  instruments_.qloss.set(local_.qloss_percent);
-  instruments_.duration.set(static_cast<double>(local_.steps) * dt_);
+  instruments_.qloss.set(run.qloss_cum_percent);
+  instruments_.duration.set(static_cast<double>(run.steps) * dt_);
 }
 
 // --- JsonlEventSink -----------------------------------------------------
@@ -124,10 +118,6 @@ JsonlEventSink::JsonlEventSink(const std::string& path, size_t every)
 
 void JsonlEventSink::begin(const RunContext& ctx) {
   dt_ = ctx.dt;
-  // Reset per-run state: a sink re-armed for a new run must not report
-  // the previous occupant's final qloss if the new run ends before any
-  // sample is recorded.
-  qloss_final_ = 0.0;
   Json e = Json::object();
   e.set("event", "run_begin");
   e.set("schema", "otem.events.v2");
@@ -186,17 +176,16 @@ Json JsonlEventSink::step_event(const StepSample& sample, double dt) {
 }
 
 void JsonlEventSink::record(const StepSample& sample) {
-  qloss_final_ = sample.qloss_cum_percent;
   if (sample.k % every_ != 0) return;
   writer_.write(step_event(sample, dt_));
 }
 
-void JsonlEventSink::end(const core::PlantState& final_state) {
+void JsonlEventSink::end(const RunEnd& run) {
   Json e = Json::object();
   e.set("event", "run_end");
-  e.set("qloss_percent", qloss_final_);
-  e.set("tb_final_k", final_state.t_battery_k);
-  e.set("soe_final_percent", final_state.soe_percent);
+  e.set("qloss_percent", run.qloss_cum_percent);
+  e.set("tb_final_k", run.final_state.t_battery_k);
+  e.set("soe_final_percent", run.final_state.soe_percent);
   writer_.write(e);
   writer_.close();
 }

@@ -92,26 +92,25 @@ class DiagnosticsSink final : public StepSink {
 
   size_t timing_stride() const override { return kTimingStride; }
   /// Only eventful samples carry information for this sink: the step
-  /// count comes from RunContext, the final qloss rides on the last
-  /// sample (always delivered), and everything else is conditional on
-  /// timing / infeasibility / solver presence anyway. On a reactive
-  /// baseline the simulator then skips the dispatch entirely for ~63 of
-  /// every 64 steps.
+  /// count and final qloss arrive at end(), and everything else is
+  /// conditional on timing / infeasibility / solver presence anyway. On
+  /// a reactive baseline the simulator then skips the dispatch entirely
+  /// for ~63 of every 64 steps.
   bool eventful_samples_only() const override { return true; }
   void begin(const RunContext& ctx) override;
   void record(const StepSample& sample) override;
   /// Counters and gauges are accumulated in plain locals during the run
   /// and flushed to the (shared, atomic) instruments here — one atomic
   /// op per counter per RUN instead of per step. Registry snapshots are
-  /// therefore complete once the run has ended.
-  void end(const core::PlantState& final_state) override;
+  /// therefore complete once the run has ended; a cancelled run or a
+  /// closed serve session counts the steps it completed.
+  void end(const RunEnd& run) override;
 
  private:
   Instruments instruments_;
   double dt_ = 1.0;
   /// Per-run accumulation, flushed by end().
   struct Local {
-    std::uint64_t steps = 0;
     std::uint64_t infeasible = 0;
     std::uint64_t solves = 0;
     std::uint64_t fallbacks = 0;
@@ -123,7 +122,6 @@ class DiagnosticsSink final : public StepSink {
     std::uint64_t qp_polish_hits = 0;
     std::uint64_t qp_polish_rounds = 0;
     std::uint64_t qp_polish_capped = 0;
-    double qloss_percent = 0.0;
   };
   Local local_;
 };
@@ -143,7 +141,7 @@ class JsonlEventSink final : public StepSink {
   size_t timing_stride() const override { return every_; }
   void begin(const RunContext& ctx) override;
   void record(const StepSample& sample) override;
-  void end(const core::PlantState& final_state) override;
+  void end(const RunEnd& run) override;
 
   size_t lines_written() const { return writer_.lines_written(); }
 
@@ -155,7 +153,6 @@ class JsonlEventSink final : public StepSink {
   obs::JsonlWriter writer_;
   size_t every_;
   double dt_ = 1.0;
-  double qloss_final_ = 0.0;
 };
 
 }  // namespace otem::sim

@@ -71,22 +71,32 @@ TimeSeries scenario_power_trace(const Scenario& scenario,
       .repeated(scenario.repeats);
 }
 
+ScenarioSetup prepare_scenario(const Scenario& scenario,
+                               const core::SystemSpec& base_spec,
+                               const Config& cfg) {
+  ScenarioSetup setup;
+  setup.spec = base_spec;
+  if (scenario.ambient_k > 0.0) setup.spec.ambient_k = scenario.ambient_k;
+
+  const TimeSeries speed = scenario_speed(scenario);
+  setup.distance_m = vehicle::stats_of(speed).distance_m *
+                     static_cast<double>(scenario.repeats);
+  setup.power = vehicle::Powertrain(setup.spec.vehicle)
+                    .power_trace(speed)
+                    .repeated(scenario.repeats);
+
+  setup.initial = scenario.initial;
+  if (scenario.soak) {
+    setup.initial.t_battery_k = setup.spec.ambient_k;
+    setup.initial.t_coolant_k = setup.spec.ambient_k;
+  }
+  setup.methodology =
+      core::make_methodology(scenario.methodology, setup.spec, cfg);
+  return setup;
+}
+
 ScenarioOutcome run_scenario(const Scenario& scenario, const Config& cfg) {
   return run_scenario(scenario, core::SystemSpec::from_config(cfg), cfg);
-}
-
-ScenarioOutcome run_scenario(const Scenario& scenario,
-                             const core::SystemSpec& base_spec,
-                             const Config& cfg) {
-  return run_scenario(scenario, base_spec, cfg, {});
-}
-
-ScenarioOutcome run_scenario(const Scenario& scenario,
-                             const core::SystemSpec& base_spec,
-                             const Config& cfg,
-                             const std::vector<StepSink*>& extra_sinks) {
-  return run_scenario(scenario, base_spec, cfg, extra_sinks,
-                      exec::StopToken());
 }
 
 namespace {
@@ -115,33 +125,17 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
                              const std::vector<StepSink*>& extra_sinks,
                              const exec::StopToken& stop) {
   const TraceEnableGuard trace_guard(!scenario.trace_out.empty());
-  core::SystemSpec spec = base_spec;
-  if (scenario.ambient_k > 0.0) spec.ambient_k = scenario.ambient_k;
-
-  const TimeSeries speed = scenario_speed(scenario);
+  ScenarioSetup setup = prepare_scenario(scenario, base_spec, cfg);
   ScenarioOutcome outcome;
-  outcome.distance_m = vehicle::stats_of(speed).distance_m *
-                       static_cast<double>(scenario.repeats);
-  outcome.power = vehicle::Powertrain(spec.vehicle)
-                      .power_trace(speed)
-                      .repeated(scenario.repeats);
+  outcome.distance_m = setup.distance_m;
+  outcome.power = std::move(setup.power);
 
   RunOptions options;
-  options.initial = scenario.initial;
-  if (scenario.soak) {
-    options.initial.t_battery_k = spec.ambient_k;
-    options.initial.t_coolant_k = spec.ambient_k;
-  }
+  options.initial = setup.initial;
   options.record_trace = scenario.record_trace;
   options.stop = stop;
 
-  auto methodology =
-      core::make_methodology(scenario.methodology, spec, cfg);
-
-  MetricsAccumulator metrics;
-  TraceRecorder trace;
-  std::vector<StepSink*> sinks{&metrics};
-  if (scenario.record_trace) sinks.push_back(&trace);
+  std::vector<StepSink*> sinks;
   std::unique_ptr<CsvStreamSink> csv;
   if (!scenario.trace_csv.empty()) {
     csv = std::make_unique<CsvStreamSink>(scenario.trace_csv);
@@ -163,11 +157,9 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
 
   {
     const obs::TraceSpan run_span("scenario.run");
-    const Simulator simulator(spec);
-    simulator.run_with_sinks(*methodology, outcome.power, options, sinks);
+    outcome.result = Simulator(setup.spec).run(*setup.methodology,
+                                               outcome.power, options, sinks);
   }
-  outcome.result = metrics.take();
-  if (scenario.record_trace) outcome.result.trace = trace.take();
   if (!scenario.metrics_out.empty())
     obs::write_metrics_json(scenario.metrics_out, registry);
   if (!scenario.trace_out.empty())

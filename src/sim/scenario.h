@@ -28,10 +28,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
+#include "core/methodology.h"
 #include "core/plant_state.h"
 #include "core/system_spec.h"
 #include "sim/simulator.h"
@@ -91,37 +93,42 @@ struct ScenarioOutcome {
 
 /// The resolved route power-request trace P_hat_e for `scenario` under
 /// `spec` (route source resolved, repeats applied) — exactly what
-/// run_scenario drives through the methodology, exposed so a serve
-/// session can stream the same mission one protocol step at a time.
+/// run_scenario drives through the methodology.
 TimeSeries scenario_power_trace(const Scenario& scenario,
                                 const core::SystemSpec& spec);
+
+/// What a run of `scenario` starts from — shared by run_scenario and a
+/// serve session, so both drive the same mission.
+struct ScenarioSetup {
+  core::SystemSpec spec;   ///< base spec with the ambient override
+  TimeSeries power;        ///< the route's request trace (the forecast)
+  double distance_m = 0.0; ///< route distance including repeats
+  core::PlantState initial;  ///< scenario.initial, soaked if asked
+  std::unique_ptr<core::Methodology> methodology;  ///< fresh, not reset
+};
+
+/// Resolve `scenario` against `base_spec`; `cfg` feeds the methodology
+/// factory. Throws otem::SimError on an invalid scenario.
+ScenarioSetup prepare_scenario(const Scenario& scenario,
+                               const core::SystemSpec& base_spec,
+                               const Config& cfg);
 
 /// Run `scenario` against the spec built from `cfg`
 /// (core::SystemSpec::from_config).
 ScenarioOutcome run_scenario(const Scenario& scenario, const Config& cfg);
 
-/// Run `scenario` against an explicit spec (sweeps that mutate the
-/// spec programmatically); `cfg` still feeds the methodology factory.
-ScenarioOutcome run_scenario(const Scenario& scenario,
-                             const core::SystemSpec& spec,
-                             const Config& cfg);
-
-/// As above, with caller-owned sinks appended to the scenario's own
+/// Run `scenario` against an explicit spec (sweeps that mutate the spec
+/// programmatically); `cfg` still feeds the methodology factory.
+/// `extra_sinks` are caller-owned sinks appended to the scenario's own
 /// chain — how otem_cli compare aggregates per-method diagnostics into
-/// one registry.
-ScenarioOutcome run_scenario(const Scenario& scenario,
-                             const core::SystemSpec& spec,
-                             const Config& cfg,
-                             const std::vector<StepSink*>& extra_sinks);
-
-/// Fully-general form: `stop` is consulted before every plant step (see
+/// one registry. `stop` is consulted before every plant step (see
 /// RunOptions::stop) — the serve daemon passes its per-request token
 /// here so deadlines and drain cancellation reach the step loop. Throws
 /// otem::SimCancelled when the token fires mid-mission.
 ScenarioOutcome run_scenario(const Scenario& scenario,
                              const core::SystemSpec& spec,
                              const Config& cfg,
-                             const std::vector<StepSink*>& extra_sinks,
-                             const exec::StopToken& stop);
+                             const std::vector<StepSink*>& extra_sinks = {},
+                             const exec::StopToken& stop = {});
 
 }  // namespace otem::sim

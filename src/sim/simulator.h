@@ -1,12 +1,12 @@
 // simulator.h — closed-loop plant simulator (paper Algorithm 1 outer
 // loop, generalised over methodologies).
 //
-// Drives any Methodology through a power-request trace. The step loop
-// itself is thin: per step it advances the plant and pushes a
-// StepSample through a chain of StepSinks (sim/step_sink.h) that own
-// all accounting — RunResult arithmetic, the in-RAM trace, streaming
-// CSV telemetry. run() is the classic convenience wrapper (metrics +
-// optional trace); run_with_sinks() is the composable entry point.
+// MissionStepper is the library's one step loop: per control period it
+// advances the plant and pushes a StepSample through a chain of
+// StepSinks (sim/step_sink.h) that own all accounting. Simulator::
+// run_with_sinks() drives one to the end of a trace (runs, campaigns);
+// a serve session steps one per protocol frame. run() is the classic
+// convenience wrapper (metrics + optional trace).
 #pragma once
 
 #include <vector>
@@ -68,39 +68,66 @@ struct RunResult {
 struct RunOptions {
   core::PlantState initial;  ///< defaults to the paper's x0
   bool record_trace = true;
-  /// Cooperative stop: consulted before every plant step. When it
-  /// fires, attached sinks are FINALIZED (end() runs, streams flush)
-  /// with whatever steps completed, then otem::SimCancelled is thrown —
-  /// a cancelled mission leaves closed files and closed running totals,
-  /// never a truncated stream. Default-constructed = never stops, and
-  /// costs one pointer test per step.
+  /// Cooperative stop, consulted before every plant step. When it
+  /// fires, every sink is ended with the steps completed (streams
+  /// flush, totals close), then otem::SimCancelled is thrown.
+  /// Default-constructed = never stops (one pointer test per step).
   exec::StopToken stop;
+};
+
+/// The one closed-loop step loop: the constructor begins a mission,
+/// step() runs one control period, finish() ends it.
+class MissionStepper {
+ public:
+  /// Resets `methodology` from `initial` with `forecast` (non-empty) as
+  /// P_hat_e and begins `sinks`; both are borrowed and must outlive it.
+  MissionStepper(const core::SystemSpec& spec,
+                 core::Methodology& methodology, const TimeSeries& forecast,
+                 const core::PlantState& initial,
+                 const std::vector<StepSink*>& sinks);
+
+  /// Serve `p_e_w` for one period and push the sample through the sinks.
+  core::StepRecord step(double p_e_w);
+  /// End every sink with the steps completed so far; idempotent.
+  void finish();
+
+  size_t steps_done() const { return k_; }
+
+ private:
+  core::Methodology& methodology_;
+  core::TebMetric teb_;
+  double dt_;
+  core::PlantState state_;
+  std::vector<StepSink*> every_step_, eventful_only_;
+  bool want_teb_ = false, tracing_ = false, finished_ = false;
+  size_t timing_stride_ = 0;
+  size_t next_timed_;  ///< next timed k; SIZE_MAX when untimed
+  size_t k_ = 0;
+  double qloss_cum_ = 0.0;
 };
 
 class Simulator {
  public:
   explicit Simulator(const core::SystemSpec& spec);
 
-  /// Run `methodology` over the power-request trace. Compatibility
-  /// wrapper over run_with_sinks(): a MetricsAccumulator plus, when
-  /// options.record_trace, a TraceRecorder.
+  /// Run `methodology` over the power-request trace. Wrapper over
+  /// run_with_sinks(): a MetricsAccumulator plus, when
+  /// options.record_trace, a TraceRecorder, ahead of `extra_sinks`.
   RunResult run(core::Methodology& methodology,
                 const TimeSeries& power_request,
-                const RunOptions& options = {}) const;
+                const RunOptions& options = {},
+                const std::vector<StepSink*>& extra_sinks = {}) const;
 
-  /// Drive the step loop, pushing every step through `sinks` (all
-  /// non-null, caller-owned). options.record_trace is ignored here —
-  /// attach a TraceRecorder instead.
+  /// Drive a MissionStepper over the whole trace, pushing every step
+  /// through `sinks` (all non-null, caller-owned). options.record_trace
+  /// is ignored here — attach a TraceRecorder instead.
   void run_with_sinks(core::Methodology& methodology,
                       const TimeSeries& power_request,
                       const RunOptions& options,
                       const std::vector<StepSink*>& sinks) const;
 
-  const core::SystemSpec& spec() const { return spec_; }
-
  private:
   core::SystemSpec spec_;
-  core::TebMetric teb_;
 };
 
 }  // namespace otem::sim

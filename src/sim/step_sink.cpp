@@ -12,7 +12,6 @@ namespace otem::sim {
 void MetricsAccumulator::begin(const RunContext& ctx) {
   result_ = RunResult{};
   dt_ = ctx.dt;
-  steps_ = ctx.steps;
   t_max_k_ = ctx.spec.thermal.max_battery_temp_k;
   // Seed from the initial state: a pack that starts hot and only cools
   // still peaked at its starting temperature.
@@ -34,11 +33,13 @@ void MetricsAccumulator::record(const StepSample& sample) {
     result_.thermal_violation_s += dt_;
 }
 
-void MetricsAccumulator::end(const core::PlantState& final_state) {
-  result_.duration_s = static_cast<double>(steps_) * dt_;
+void MetricsAccumulator::end(const RunEnd& run) {
+  result_.duration_s = static_cast<double>(run.steps) * dt_;
   result_.energy_hees_j = result_.energy_battery_j + result_.energy_cap_j;
-  result_.average_power_w = result_.energy_hees_j / result_.duration_s;
-  result_.final_state = final_state;
+  // A session closed before its first step has no duration to divide by.
+  result_.average_power_w =
+      run.steps ? result_.energy_hees_j / result_.duration_s : 0.0;
+  result_.final_state = run.final_state;
 }
 
 // --- TraceRecorder ------------------------------------------------------
@@ -122,7 +123,7 @@ void CsvStreamSink::record(const StepSample& sample) {
   ++rows_;
 }
 
-void CsvStreamSink::end(const core::PlantState&) {
+void CsvStreamSink::end(const RunEnd&) {
   out_.flush();
   if (out_.fail())
     throw SimError("CSV stream write failed (disk full?): " + path_);

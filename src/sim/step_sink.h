@@ -1,9 +1,9 @@
 // step_sink.h — streaming per-step telemetry pipeline.
 //
-// The simulator's step loop no longer owns any accounting: it pushes
-// one StepSample per plant step through a chain of StepSinks, and the
-// sinks decide what becomes of the telemetry. Three ship with the
-// library:
+// The step loop (sim::MissionStepper) owns no accounting: it pushes one
+// StepSample per plant step through a chain of StepSinks, and the sinks
+// decide what becomes of the telemetry. Three ship here (sim/obs_sink.h
+// adds the diagnostics and JSONL event sinks):
 //
 //   MetricsAccumulator — the RunResult arithmetic (Algorithm 1 outputs,
 //                        energy breakdown, thermal safety), O(1) memory.
@@ -13,9 +13,8 @@
 //                        telemetry and multi-hour missions attach
 //                        instead of an in-RAM trace.
 //
-// Accumulation order in MetricsAccumulator matches the pre-sink
-// simulator exactly, so RunResult values are bit-identical to the old
-// inlined loop (tests/test_scenario_engine.cpp enforces this).
+// MetricsAccumulator's accumulation order is pinned bit-for-bit by
+// tests/test_scenario_engine.cpp.
 #pragma once
 
 #include <fstream>
@@ -31,8 +30,17 @@ namespace otem::sim {
 struct RunContext {
   const core::SystemSpec& spec;
   double dt = 1.0;            ///< step period [s]
-  size_t steps = 0;           ///< mission length
+  size_t steps = 0;           ///< planned length (forecast); see RunEnd
   core::PlantState initial;   ///< state before the first step
+};
+
+/// Handed to every sink by end(): the steps that completed (a cancelled
+/// run or a serve session stops anywhere), the state and capacity-loss
+/// sum after the last of them.
+struct RunEnd {
+  const core::PlantState& final_state;
+  size_t steps = 0;
+  double qloss_cum_percent = 0.0;
 };
 
 /// Everything one plant step produced. `state` is the plant state AFTER
@@ -70,30 +78,28 @@ class StepSink {
   virtual size_t timing_stride() const { return 0; }
 
   /// True when this sink only needs EVENTFUL samples: wall-clock timed,
-  /// infeasible, solver-backed (solve.present), or the final step of
-  /// the run (always delivered, so running totals can close). The
-  /// simulator skips the record() call entirely on uneventful steps —
-  /// for a reactive baseline that turns per-step diagnostics dispatch
-  /// into nothing. Sinks that consume the full telemetry stream (trace,
-  /// CSV, accounting) keep the default false.
+  /// infeasible or solver-backed (solve.present). The simulator skips
+  /// the record() call entirely on uneventful steps — for a reactive
+  /// baseline that turns per-step diagnostics dispatch into nothing;
+  /// the step count and final qloss arrive at end() either way. Sinks
+  /// that consume the full telemetry stream (trace, CSV, accounting)
+  /// keep the default false.
   virtual bool eventful_samples_only() const { return false; }
 
   virtual void begin(const RunContext& ctx) { (void)ctx; }
   virtual void record(const StepSample& sample) = 0;
-  virtual void end(const core::PlantState& final_state) {
-    (void)final_state;
-  }
+  /// Runs once when the run stops — finished, cancelled or closed.
+  virtual void end(const RunEnd& run) { (void)run; }
 };
 
-/// Owns the RunResult arithmetic the simulator used to inline: same
-/// accumulation order step by step, so results stay bit-identical.
-/// max_t_battery_k is seeded from the initial state, so a mission that
-/// only ever cools reports its true (initial) maximum.
+/// The RunResult arithmetic. max_t_battery_k is seeded from the initial
+/// state, so a mission that only ever cools reports its true (initial)
+/// maximum.
 class MetricsAccumulator final : public StepSink {
  public:
   void begin(const RunContext& ctx) override;
   void record(const StepSample& sample) override;
-  void end(const core::PlantState& final_state) override;
+  void end(const RunEnd& run) override;
 
   /// The finished result (valid after end()); trace fields are empty.
   const RunResult& result() const { return result_; }
@@ -103,11 +109,9 @@ class MetricsAccumulator final : public StepSink {
   RunResult result_;
   double dt_ = 1.0;
   double t_max_k_ = 0.0;
-  size_t steps_ = 0;
 };
 
-/// Records the full in-RAM RunTrace (the pre-refactor record_trace
-/// behaviour).
+/// Records the full in-RAM RunTrace.
 class TraceRecorder final : public StepSink {
  public:
   bool wants_teb() const override { return true; }
@@ -143,7 +147,7 @@ class CsvStreamSink final : public StepSink {
   bool wants_teb() const override { return true; }
   void begin(const RunContext& ctx) override;
   void record(const StepSample& sample) override;
-  void end(const core::PlantState& final_state) override;
+  void end(const RunEnd& run) override;
 
   const std::string& path() const { return path_; }
   size_t rows_written() const { return rows_; }

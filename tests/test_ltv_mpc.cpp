@@ -242,7 +242,6 @@ TEST(LtvController, WarmStepsReenterAtCarriedRho) {
       warm_rounds += d.sqp_rounds;
       if (d.qp_rho_updates) rebalanced_warm_steps.push_back(sample.k);
     }
-    void end(const PlantState&) override {}
   };
 
   const SystemSpec spec = default_spec();
@@ -286,7 +285,6 @@ TEST(LtvController, PolishSettlesFromCarriedWorkingSet) {
       warm_solves += d.qp_warm_hits;
       warm_rounds += d.qp_polish_rounds;
     }
-    void end(const PlantState&) override {}
   };
   struct Case {
     const char* name;

@@ -482,7 +482,7 @@ TEST(CsvStreamSink, ThrowsSimErrorWhenStreamFails) {
         // Push enough rows to force a buffer flush, then end() flushes
         // whatever is left — one of the two must detect the failure.
         for (int i = 0; i < 5000; ++i) sink.record(sample);
-        sink.end(state);
+        sink.end({state, 5000, 0.0});
       },
       SimError);
 }

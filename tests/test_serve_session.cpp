@@ -239,6 +239,71 @@ TEST(ServeSession, WarmStepsNeverExceedTheColdSolvesIterations) {
   }
 }
 
+// --- sessions step through the simulator's loop -----------------------------
+
+/// The overrides of a short mission, as a JSON object body.
+constexpr const char* kParallelOverrides =
+    "\"method\":\"parallel\",\"synthetic\":true,"
+    "\"synthetic_duration_s\":40";
+constexpr const char* kRtiOverrides =
+    "\"method\":\"otem-ltv\",\"synthetic\":true,"
+    "\"synthetic_duration_s\":40,\"ltv.sqp_iterations\":1,"
+    "\"ltv.qp.eps\":0.2";
+
+/// Stream `overrides` as a session over its whole route and return the
+/// close reply's result.
+Json stream_whole_route(Server& server, const std::string& overrides) {
+  const Json open = ok_result(server.handle_line(
+      "{\"schema\":\"otem.serve.v1\",\"method\":\"session.open\","
+      "\"overrides\":{" + overrides + "}}"));
+  const std::string sid = session_id_of(open);
+  const auto route =
+      static_cast<size_t>(open.find("route_steps")->as_number());
+  for (size_t k = 0; k < route; ++k)
+    ok_result(server.handle_line(step_request(sid)));
+  return ok_result(server.handle_line(
+      "{\"schema\":\"otem.serve.v1\",\"method\":\"session.close\","
+      "\"session\":\"" + sid + "\",\"hex_doubles\":true}"));
+}
+
+TEST(ServeSession, WholeRouteSessionReportMatchesRunBitForBit) {
+  for (const char* overrides : {kParallelOverrides, kRtiOverrides}) {
+    SCOPED_TRACE(overrides);
+    Server server(session_test_options());
+    const Json closed = stream_whole_route(server, overrides);
+    const Json run = ok_result(server.handle_line(
+        std::string("{\"schema\":\"otem.serve.v1\",\"method\":\"run\","
+                    "\"hex_doubles\":true,\"overrides\":{") +
+        overrides + "}}"));
+    ASSERT_NE(closed.find("report_hex"), nullptr);
+    ASSERT_NE(run.find("report_hex"), nullptr);
+    EXPECT_EQ(closed.find("steps")->as_number(),
+              run.find("steps")->as_number());
+    EXPECT_EQ(closed.find("report_hex")->dump(0),
+              run.find("report_hex")->dump(0));
+  }
+}
+
+TEST(ServeSession, StreamedStepsFeedTheDaemonsSolverAndSimCounters) {
+  Server server(session_test_options());
+  const Json open = ok_result(server.handle_line(
+      std::string("{\"schema\":\"otem.serve.v1\",\"method\":"
+                  "\"session.open\",\"overrides\":{") +
+      kRtiOverrides + "}}"));
+  const std::string sid = session_id_of(open);
+  constexpr size_t kSteps = 7;
+  for (size_t k = 0; k < kSteps; ++k)
+    ok_result(server.handle_line(step_request(sid)));
+  ok_result(server.handle_line(close_request(sid)));
+
+  const obs::MetricsSnapshot snap = server.registry().snapshot();
+  EXPECT_EQ(snap.counters.at("sim.steps"), kSteps);
+  EXPECT_EQ(snap.counters.at("solver.solves"), kSteps);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("sim.duration_s"),
+                   static_cast<double>(kSteps) *
+                       open.find("dt_s")->as_number());
+}
+
 // --- eviction ---------------------------------------------------------------
 
 TEST(ServeSession, IdleSessionsAreEvictedAfterTheirTtl) {
@@ -254,6 +319,8 @@ TEST(ServeSession, IdleSessionsAreEvictedAfterTheirTtl) {
   const obs::MetricsSnapshot snap = server.registry().snapshot();
   EXPECT_EQ(snap.counters.at("serve.sessions_evicted"), 1u);
   EXPECT_EQ(snap.gauges.at("serve.sessions_active"), 0.0);
+  // Eviction ends the session's sinks: its one step is accounted.
+  EXPECT_EQ(snap.counters.at("sim.steps"), 1u);
 }
 
 TEST(ServeSession, CapacityEvictionDropsTheLeastRecentlyUsed) {
@@ -272,6 +339,23 @@ TEST(ServeSession, CapacityEvictionDropsTheLeastRecentlyUsed) {
             "unknown_session");
   ok_result(server.handle_line(step_request(s1)));
   ok_result(server.handle_line(step_request(s3)));
+}
+
+TEST(ServeSession, CapacityEvictedSessionFlushesTheStepsItStreamed) {
+  ServerOptions opts = session_test_options();
+  opts.session_limit = 1;
+  Server server(opts);
+  const std::string s1 = session_id_of(ok_result(
+      server.handle_line(open_request())));
+  for (int k = 0; k < 3; ++k) ok_result(server.handle_line(step_request(s1)));
+  EXPECT_EQ(server.registry().snapshot().counters.at("sim.steps"), 0u);
+  // Opening a second session evicts the first, which ends its sinks.
+  ok_result(server.handle_line(open_request()));
+  EXPECT_EQ(error_code_of(server.handle_line(step_request(s1))),
+            "unknown_session");
+  const obs::MetricsSnapshot snap = server.registry().snapshot();
+  EXPECT_EQ(snap.counters.at("serve.sessions_evicted"), 1u);
+  EXPECT_EQ(snap.counters.at("sim.steps"), 3u);
 }
 
 TEST(ServeSession, SessionLimitZeroDisablesTheSessionApi) {

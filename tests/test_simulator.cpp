@@ -10,7 +10,9 @@
 #include "common/error.h"
 #include "core/parallel_methodology.h"
 #include "exec/stop_token.h"
+#include "obs/metrics.h"
 #include "sim/metrics.h"
+#include "sim/obs_sink.h"
 #include "sim/simulator.h"
 #include "sim/step_sink.h"
 #include "vehicle/drive_cycle.h"
@@ -192,8 +194,8 @@ class CancelProbeSink final : public StepSink {
     (void)sample;
     if (records_ >= stop_after_) source_.request_stop();
   }
-  void end(const core::PlantState& final_state) override {
-    (void)final_state;
+  void end(const RunEnd& run) override {
+    (void)run;
     end_called_ = true;
   }
 
@@ -219,12 +221,19 @@ TEST(Simulator, CancelMidMissionThrowsSimCancelledAndFinalizesSinks) {
   opt.stop = source.token();
   CancelProbeSink probe(source, 50);
   MetricsAccumulator metrics;
-  std::vector<StepSink*> sinks{&metrics, &probe};
+  obs::MetricsRegistry registry;
+  DiagnosticsSink diagnostics(registry);
+  std::vector<StepSink*> sinks{&metrics, &probe, &diagnostics};
   EXPECT_THROW(sim.run_with_sinks(m, power, opt, sinks), SimCancelled);
   // The mission stopped where asked — not truncated mid-write, not run
   // to completion — and every sink was finalized.
   EXPECT_EQ(probe.records(), 50u);
   EXPECT_TRUE(probe.end_called());
+  // The totals cover the 50 steps that ran, not the planned mission.
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("sim.steps"), 50u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("sim.duration_s"), 50.0 * power.dt());
+  EXPECT_DOUBLE_EQ(metrics.result().duration_s, 50.0 * power.dt());
 }
 
 TEST(Simulator, CancelClosesStreamingCsvSinkCleanly) {
