@@ -1,23 +1,20 @@
 #include "campaign/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "campaign/checkpoint.h"
 #include "common/error.h"
 #include "common/strings.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/sketch.h"
 #include "obs/timer.h"
 #include "serve/protocol.h"
@@ -52,15 +49,13 @@ class Committer {
   Committer(const Grid& grid, const CampaignOptions& options,
             CampaignAccumulator acc, std::uint64_t watermark,
             std::map<std::uint64_t, ScenarioResult> pending,
-            std::uint64_t total)
+            std::uint64_t total, size_t threads)
       : grid_(grid),
         options_(options),
         acc_(std::move(acc)),
         watermark_(watermark),
         pending_(std::move(pending)),
         total_(total) {
-    const size_t threads = options.threads > 0 ? options.threads
-                                               : exec::default_concurrency();
     capacity_ = options.max_pending > 0 ? options.max_pending
                                         : 4 * threads + 16;
     last_checkpoint_ = watermark_;
@@ -307,35 +302,21 @@ ScenarioResult parse_run_response(const std::string& line,
   }
   const Json* result = doc.find("result");
   OTEM_REQUIRE(result != nullptr, "campaign: fabric response missing result");
-  // Prefer the bit-exact hex report (we ask for it with hex_doubles);
-  // fall back to the numeric report for older daemons, accepting %.12g
-  // rounding there.
+  // The bit-exact hex report: the request asks for it with hex_doubles.
   const Json* hex = result->find("report_hex");
-  if (hex != nullptr && hex->is_object()) {
-    ScenarioResult out;
-    for (size_t d = 0; d < ScenarioResult::kDims; ++d) {
-      const Json* v = hex->find(ScenarioResult::dim_name(d));
-      if (v != nullptr && v->is_number()) {
-        out.set_dim(d, v->as_number());  // e.g. infeasible_steps
-        continue;
-      }
-      OTEM_REQUIRE(v != nullptr && v->is_string(),
-                   std::string("campaign: fabric hex report missing ") +
-                       ScenarioResult::dim_name(d));
-      out.set_dim(d, strings::parse_hex_double(v->as_string()));
-    }
-    return out;
-  }
-  const Json* report = result->find("report");
-  OTEM_REQUIRE(report != nullptr && report->is_object(),
-               "campaign: fabric response missing report");
+  OTEM_REQUIRE(hex != nullptr && hex->is_object(),
+               "campaign: fabric response missing report_hex");
   ScenarioResult out;
   for (size_t d = 0; d < ScenarioResult::kDims; ++d) {
-    const Json* v = report->find(ScenarioResult::dim_name(d));
-    OTEM_REQUIRE(v != nullptr && v->is_number(),
-                 std::string("campaign: fabric report missing ") +
+    const Json* v = hex->find(ScenarioResult::dim_name(d));
+    if (v != nullptr && v->is_number()) {
+      out.set_dim(d, v->as_number());  // e.g. infeasible_steps
+      continue;
+    }
+    OTEM_REQUIRE(v != nullptr && v->is_string(),
+                 std::string("campaign: fabric hex report missing ") +
                      ScenarioResult::dim_name(d));
-    out.set_dim(d, v->as_number());
+    out.set_dim(d, strings::parse_hex_double(v->as_string()));
   }
   return out;
 }
@@ -407,8 +388,10 @@ CampaignOutcome run_campaign(const Grid& grid,
   }
   const std::uint64_t restored_watermark = watermark;
 
+  const size_t threads =
+      options.threads > 0 ? options.threads : exec::default_concurrency();
   Committer committer(grid, options, std::move(acc), watermark,
-                      std::move(restored_pending), total);
+                      std::move(restored_pending), total, threads);
 
   std::vector<std::pair<std::string, std::string>> base_pairs =
       extract_pairs(cfg);
@@ -429,10 +412,6 @@ CampaignOutcome run_campaign(const Grid& grid,
         base_pairs.end());
   }
 
-  size_t threads =
-      options.threads > 0 ? options.threads : exec::default_concurrency();
-  if (total > 0 && threads > total) threads = static_cast<size_t>(total);
-
   std::unique_ptr<const WorkerInstruments> instruments;
   if (options.metrics != nullptr)
     instruments =
@@ -440,48 +419,35 @@ CampaignOutcome run_campaign(const Grid& grid,
   const sim::DiagnosticsSink::Instruments* diagnostics =
       instruments ? instruments->diagnostics.get() : nullptr;
 
-  std::atomic<std::uint64_t> next{restored_watermark};
-  std::mutex failure_mutex;
-  std::exception_ptr failure;
-
-  auto worker = [&]() {
-    for (;;) {
-      const std::uint64_t index = next.fetch_add(1);
-      if (index >= total) return;
-      if (restored_indices.count(index) != 0) continue;
-      if (!committer.wait_turn(index)) return;
-      try {
-        const ScenarioSpec s = grid.at(index);
-        const double t0_us = instruments ? obs::now_us() : 0.0;
-        ScenarioResult result =
-            fabric ? run_remote(s, base_spec, base_pairs, options)
-                   : run_local(s, base_spec, base_pairs, options, diagnostics);
-        if (instruments)
-          instruments->scenario_us[index % grid.methodologies.size()]->record(
-              obs::now_us() - t0_us);
-        committer.submit(index, std::move(result));
-      } catch (const SimCancelled&) {
-        return;  // stop token fired mid-mission; wait_turn halts next trip
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(failure_mutex);
-          if (!failure) failure = std::current_exception();
+  // Once the committer halts (stop token, halt hook, a failure), every
+  // index still unclaimed returns at wait_turn.
+  exec::parallel_for(
+      static_cast<size_t>(total - restored_watermark),
+      [&](size_t offset) {
+        const std::uint64_t index = restored_watermark + offset;
+        if (restored_indices.count(index) != 0) return;
+        if (!committer.wait_turn(index)) return;
+        try {
+          const ScenarioSpec s = grid.at(index);
+          const double t0_us = instruments ? obs::now_us() : 0.0;
+          ScenarioResult result =
+              fabric ? run_remote(s, base_spec, base_pairs, options)
+                     : run_local(s, base_spec, base_pairs, options,
+                                 diagnostics);
+          if (instruments)
+            instruments->scenario_us[index % grid.methodologies.size()]
+                ->record(obs::now_us() - t0_us);
+          committer.submit(index, std::move(result));
+        } catch (const SimCancelled&) {
+          // The stop token fired mid-mission; wait_turn halts next trip.
+        } catch (...) {
+          // Halt the committer so the other workers stop; parallel_for
+          // rethrows the first failure once they have joined.
+          committer.halt();
+          throw;
         }
-        committer.halt();
-        return;
-      }
-    }
-  };
-
-  // The calling thread is one of the workers, so a serial campaign
-  // starts no thread at all.
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (std::thread& t : pool) t.join();
-
-  if (failure) std::rethrow_exception(failure);
+      },
+      threads);
 
   committer.finalize();
   outcome.scenarios_run = committer.scenarios_run();

@@ -2,7 +2,7 @@
 //
 // run_campaign() drives a Grid's scenario stream to completion:
 //
-//   * workers pull scenario indices from one atomic counter and execute
+//   * workers (exec::parallel_for) claim scenario indices and execute
 //     them — locally through sim::run_scenario, or remotely by
 //     dispatching otem.serve.v1 run requests across a serve fabric;
 //   * finished results enter a reorder buffer; a commit watermark
@@ -48,7 +48,7 @@ namespace otem::campaign {
 inline constexpr const char* kSummarySchema = "otem.campaign.v1";
 
 struct CampaignOptions {
-  /// Worker threads; 0 = hardware concurrency.
+  /// Worker threads; 0 = exec::default_concurrency().
   size_t threads = 0;
 
   /// When non-empty, write the summary line here on completion.

@@ -27,8 +27,6 @@ class Interp1D {
   double derivative(double x) const;
 
   bool empty() const { return x_.empty(); }
-  double x_min() const { return x_.front(); }
-  double x_max() const { return x_.back(); }
 
  private:
   std::vector<double> x_;

@@ -8,9 +8,10 @@
 // Each emitted line is fully formatted in memory —
 //   2026-08-06T12:34:56.789Z [otem WARN  t03] message
 // (ISO-8601 UTC timestamp, level tag, per-thread id) — and handed to
-// the OS in a SINGLE write() syscall, so concurrent writers (fleet
-// missions on the thread pool) can interleave lines but never bytes
-// within a line. tests/test_obs.cpp hammers this from the pool.
+// the OS in a SINGLE write() syscall, so concurrent writers (campaign
+// workers, serve connection threads) can interleave lines but never
+// bytes within a line. tests/test_obs.cpp hammers this from
+// exec::parallel_for.
 #pragma once
 
 #include <sstream>

@@ -48,10 +48,6 @@ thermal::CoolingSystem SystemSpec::make_cooling() const {
   return thermal::CoolingSystem(thermal);
 }
 
-vehicle::Powertrain SystemSpec::make_powertrain() const {
-  return vehicle::Powertrain(vehicle);
-}
-
 hees::ParallelArchitecture SystemSpec::make_parallel_arch() const {
   return hees::ParallelArchitecture(make_battery(), make_ultracap());
 }

@@ -46,7 +46,6 @@ struct SystemSpec {
   battery::PackModel make_battery() const;
   ultracap::BankModel make_ultracap() const;
   thermal::CoolingSystem make_cooling() const;
-  vehicle::Powertrain make_powertrain() const;
   hees::ParallelArchitecture make_parallel_arch() const;
   hees::DualArchitecture make_dual_arch() const;
   hees::HybridArchitecture make_hybrid_arch() const;

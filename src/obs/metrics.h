@@ -4,8 +4,8 @@
 // histograms. Counters and histograms are SHARDED: each instrument
 // keeps kShards cache-line-separated atomic slots and a thread writes
 // the slot picked by its thread-local shard id, so concurrent missions
-// on the exec::ThreadPool update the same instrument without
-// contending on one cache line. snapshot() aggregates the shards into
+// (campaign workers, serve runs and sessions) update the same
+// instrument without contending on one cache line. snapshot() aggregates the shards into
 // plain numbers; totals are exact (integers summed) whenever the
 // registry is quiescent, so `threads=N` produces the same snapshot as
 // `threads=1` for the same work.

@@ -25,6 +25,7 @@
 #include "common/logging.h"
 #include "core/methodology_registry.h"
 #include "core/system_spec.h"
+#include "exec/parallel_for.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "serve/codec.h"
@@ -82,6 +83,24 @@ bool is_output_override(const std::string& key) {
          key == "record_trace" || key == "trace_out";
 }
 
+/// Resolves the options' defaults: at least one acceptor worker, and
+/// threads=0 -> exec::default_concurrency() run slots.
+ServerOptions resolve_options(ServerOptions options) {
+  options.workers = std::max<size_t>(options.workers, 1);
+  if (options.threads == 0) options.threads = exec::default_concurrency();
+  OTEM_REQUIRE(options.threads <= static_cast<size_t>(
+                                      std::counting_semaphore<>::max()),
+               "serve: threads=" + std::to_string(options.threads) +
+                   " is out of range");
+  return options;
+}
+
+/// Gives a run slot back however the run ends.
+struct RunSlotRelease {
+  std::counting_semaphore<>& slots;
+  ~RunSlotRelease() { slots.release(); }
+};
+
 /// One quantile-sketch snapshot as the `stats` method reports it.
 Json sketch_stats_json(const obs::Sketch::Snapshot& s) {
   Json j = Json::object();
@@ -99,13 +118,12 @@ Json sketch_stats_json(const obs::Sketch::Snapshot& s) {
 }  // namespace
 
 Server::Server(const ServerOptions& options)
-    : options_(options),
-      cache_(options.cache_bytes, std::max<size_t>(options.workers, 1),
-             registry_),
+    : options_(resolve_options(options)),
+      cache_(options_.cache_bytes, options_.workers, registry_),
       run_instruments_(registry_),
       sessions_(SessionLimits{options.session_limit, options.session_ttl_s},
                 registry_),
-      pool_(std::make_unique<exec::ThreadPool>(options.threads)),
+      run_slots_(static_cast<std::ptrdiff_t>(options_.threads)),
       latency_us_(registry_.histogram("serve.request.latency_us",
                                       obs::latency_buckets_us())),
       queue_wait_us_(registry_.histogram("serve.queue.wait_us",
@@ -114,7 +132,12 @@ Server::Server(const ServerOptions& options)
       queue_wait_sketch_(registry_.sketch("serve.queue.wait_us")),
       session_step_sketch_(registry_.sketch("serve.session.step_us")),
       queue_depth_(registry_.gauge("serve.queue.depth")) {
-  options_.workers = std::max<size_t>(options_.workers, 1);
+  int wake[2] = {-1, -1};
+  OTEM_REQUIRE(::pipe(wake) == 0, "serve: cannot create wake pipe");
+  ::fcntl(wake[0], F_SETFL, O_NONBLOCK);
+  ::fcntl(wake[1], F_SETFL, O_NONBLOCK);
+  wake_read_fd_ = wake[0];
+  wake_write_fd_ = wake[1];
   worker_latency_.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
     worker_latency_.push_back(&registry_.sketch(
@@ -125,6 +148,11 @@ Server::Server(const ServerOptions& options)
   if (!options_.trace_out.empty()) obs::set_trace_enabled(true);
 }
 
+Server::~Server() {
+  ::close(wake_read_fd_);
+  ::close(wake_write_fd_);
+}
+
 bool Server::stopping() const {
   return stop_.load(std::memory_order_relaxed) ||
          g_signal_stop.load(std::memory_order_relaxed);
@@ -132,11 +160,8 @@ bool Server::stopping() const {
 
 void Server::request_stop() {
   stop_.store(true, std::memory_order_relaxed);
-  const int fd = wake_write_fd_;
-  if (fd >= 0) {
-    const char byte = 'x';
-    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
-  }
+  const char byte = 'x';
+  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
 }
 
 bool Server::try_admit() {
@@ -365,15 +390,20 @@ std::string Server::handle_run(const Request& req) {
           : exec::StopSource();
   const std::uint64_t inflight_id = register_inflight(source);
 
-  std::string result_json;
   const exec::StopToken token = source.token();
-  const obs::TraceSpan dispatch_span("serve.dispatch");
-  const double enqueued_us = obs::now_us();
-  exec::TaskHandle handle = pool_->submit([&] {
-    const double wait_us = obs::now_us() - enqueued_us;
+  std::string response;
+  try {
+    const obs::TraceSpan dispatch_span("serve.dispatch");
+    // Wait for one of the `threads` run slots, then run the mission
+    // here on the connection thread.
+    const double wait_start_us = obs::now_us();
+    run_slots_.acquire();
+    const RunSlotRelease slot{run_slots_};
+    const double wait_us = obs::now_us() - wait_start_us;
     queue_wait_us_.record(wait_us);
     queue_wait_sketch_.record(wait_us);
-    obs::trace_emit("serve.queue_wait", enqueued_us, wait_us);
+    obs::trace_emit("serve.queue_wait", wait_start_us, wait_us);
+
     const obs::TraceSpan run_span("serve.run");
     const core::SystemSpec spec = core::SystemSpec::from_config(merged);
     // Aggregate this run's sim/solver telemetry into the server
@@ -389,12 +419,7 @@ std::string Server::handle_run(const Request& req) {
     result.set("report", sim::run_result_to_json(outcome.result));
     if (req.hex_doubles)
       result.set("report_hex", sim::run_result_to_hex_json(outcome.result));
-    result_json = result.dump(0);
-  });
-
-  std::string response;
-  try {
-    handle.wait();
+    const std::string result_json = result.dump(0);
     if (claimed) cache_.fill(cache_key, result_json);
     response = build_ok_response(req.id, false, result_json);
   } catch (const SimCancelled& e) {
@@ -657,10 +682,10 @@ void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
     std::thread([this, client_fd, worker] {
       session_loop(client_fd, client_fd, worker);
       ::close(client_fd);
-      {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        --open_connections_;
-      }
+      // Notify under the lock: serve_listener cannot return (and ~Server
+      // destroy the condvar) until this thread has released it.
+      const std::lock_guard<std::mutex> lock(connections_mutex_);
+      --open_connections_;
       connections_done_.notify_all();
     }).detach();
   }
@@ -668,14 +693,7 @@ void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
 
 int Server::serve_listener(int listen_fd, bool tcp) {
   SignalGuard signals;
-
-  int wake[2] = {-1, -1};
-  OTEM_REQUIRE(::pipe(wake) == 0, "serve: cannot create wake pipe");
-  ::fcntl(wake[0], F_SETFL, O_NONBLOCK);
-  ::fcntl(wake[1], F_SETFL, O_NONBLOCK);
-  wake_read_fd_ = wake[0];
-  wake_write_fd_ = wake[1];
-  g_wake_fd.store(wake[1], std::memory_order_relaxed);
+  g_wake_fd.store(wake_write_fd_, std::memory_order_relaxed);
   // Non-blocking accept: all workers poll the same listening socket and
   // the kernel wakes whoever it pleases; losers of the accept race must
   // not block.
@@ -701,10 +719,6 @@ int Server::serve_listener(int listen_fd, bool tcp) {
     std::unique_lock<std::mutex> lock(connections_mutex_);
     connections_done_.wait(lock, [&] { return open_connections_ == 0; });
   }
-  wake_write_fd_ = -1;
-  wake_read_fd_ = -1;
-  ::close(wake[0]);
-  ::close(wake[1]);
   shutdown_flush();
   return 0;
 }
@@ -731,7 +745,7 @@ int Server::serve_unix(const std::string& socket_path) {
                "serve: cannot listen on " + socket_path);
 
   log::info("serve: listening on ", socket_path, " (workers=",
-            options_.workers, " threads=", pool_->thread_count(),
+            options_.workers, " threads=", options_.threads,
             " queue_depth=", options_.queue_depth,
             " cache_bytes=", options_.cache_bytes, ")");
 
@@ -781,7 +795,7 @@ int Server::serve_tcp(const std::string& host_port) {
     bound_port_.store(ntohs(bound.sin_port), std::memory_order_release);
 
   log::info("serve: listening on ", host, ":", bound_port(), " (workers=",
-            options_.workers, " threads=", pool_->thread_count(),
+            options_.workers, " threads=", options_.threads,
             " queue_depth=", options_.queue_depth,
             " cache_bytes=", options_.cache_bytes, ")");
 

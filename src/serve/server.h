@@ -9,9 +9,10 @@
 //       {"error":"overloaded"} rather than buffered into unbounded
 //       latency (clients retry with backoff). ping/metrics/stats/
 //       methods are control-plane and never queue.
-//   dispatch       — admitted runs execute on an exec::ThreadPool via
-//       submit(); the session thread joins the handle, so slow clients
-//       only ever block themselves.
+//   run gate       — an admitted run executes on its own connection
+//       thread once it holds one of `threads` run slots, so at most
+//       `threads` missions run at once; the wait for a slot is the
+//       queue wait. Slow clients only ever block themselves.
 //   result cache   — serve/cache.h keyed by the canonical resolved
 //       scenario; repeat queries are O(1) and byte-identical.
 //   deadlines      — a per-request exec::StopSource with the client's
@@ -42,7 +43,7 @@
 //
 // Mission sessions (serve/session.h): session.open resolves a scenario
 // and pins a resident controller + plant state; session.step executes
-// ONE control step on the connection thread — no pool dispatch, no
+// ONE control step on the connection thread — no run gate, no
 // admission queue, warm starts carried across frames — and returns the
 // decision; session.close returns the accumulated report. Sessions
 // feed the same sim.*/solver.* instruments as `run`. Idle sessions are
@@ -65,15 +66,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "exec/stop_token.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
@@ -86,7 +86,8 @@ struct ServerOptions {
   /// Maximum run requests queued or executing at once; further runs
   /// are refused with {"error":"overloaded"}.
   size_t queue_depth = 16;
-  /// Worker pool width; 0 = exec::default_concurrency().
+  /// Runs executing at once (further admitted runs wait for a slot);
+  /// 0 = exec::default_concurrency().
   size_t threads = 0;
   /// Result-cache budget in bytes; 0 disables caching.
   size_t cache_bytes = 64u << 20;
@@ -118,6 +119,7 @@ struct ServerOptions {
 class Server {
  public:
   explicit Server(const ServerOptions& options);
+  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -207,7 +209,8 @@ class Server {
   /// safe), so the metrics method surfaces solver.* fleet-wide.
   sim::DiagnosticsSink::Instruments run_instruments_;
   SessionManager sessions_;
-  std::unique_ptr<exec::ThreadPool> pool_;
+  /// One slot per run allowed to execute at once (options_.threads).
+  std::counting_semaphore<> run_slots_;
 
   std::atomic<bool> stop_{false};
   std::atomic<size_t> admitted_{0};
@@ -220,8 +223,11 @@ class Server {
   std::condition_variable connections_done_;
   size_t open_connections_ = 0;
 
-  int wake_write_fd_ = -1;  ///< self-pipe: signal handler -> accept loop
-  int wake_read_fd_ = -1;   ///< polled by every acceptor worker
+  /// Self-pipe (request_stop / signal handler -> accept loop), open for
+  /// the Server's lifetime so a late request_stop never writes to a
+  /// closed descriptor.
+  int wake_write_fd_ = -1;
+  int wake_read_fd_ = -1;  ///< polled by every acceptor worker
   std::atomic<int> bound_port_{0};
 
   obs::Histogram& latency_us_;

@@ -5,16 +5,20 @@
 // at any thread count, and a campaign halted after K commits and
 // resumed from its checkpoint (at a different thread count) produces
 // the same bytes as one that was never interrupted. Also: the
-// instruments campaign workers feed, per-scenario telemetry, and the
-// paper's OTEM-vs-parallel ordering over a paired random grid.
+// instruments campaign workers feed, per-scenario telemetry, fabric =
+// local (a grid dispatched to an in-process TCP daemon summarizes to
+// the same bytes as the local run), and the paper's OTEM-vs-parallel
+// ordering over a paired random grid.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/checkpoint.h"
@@ -27,6 +31,7 @@
 #include "core/system_spec.h"
 #include "obs/metrics.h"
 #include "obs/sketch.h"
+#include "serve/server.h"
 #include "sim/scenario.h"
 
 namespace otem {
@@ -405,6 +410,54 @@ TEST(CampaignRunner, LtvGridBytesIdenticalAcrossThreadsAndRepeats) {
             serial);
   EXPECT_EQ(campaign::run_campaign(grid, spec, cfg, four).summary_text,
             serial);
+}
+
+TEST(CampaignRunner, FabricSummaryBytesMatchLocal) {
+  // The runner asks the daemon for hex_doubles, so each scenario's
+  // result crosses the wire as IEEE-754 bit patterns and the fabric
+  // summary must equal the local one byte for byte, not within a
+  // tolerance.
+  campaign::Grid grid = small_grid();
+  grid.methodologies = {"parallel", "otem-ltv"};
+  grid.min_duration_s = 40.0;
+  grid.max_duration_s = 80.0;
+  Config cfg;
+  cfg.set("otem.horizon", "8");
+  const core::SystemSpec spec = core::SystemSpec::from_config(cfg);
+
+  serve::ServerOptions server_opts;
+  server_opts.threads = 2;
+  server_opts.queue_depth = 8;
+  server_opts.cache_bytes = 1u << 20;
+  server_opts.drain_timeout_s = 0.0;
+  serve::Server server(server_opts);
+  std::thread daemon([&] { (void)server.serve_tcp("127.0.0.1:0"); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.bound_port() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  std::string fabric_summary;
+  if (server.bound_port() != 0) {
+    campaign::CampaignOptions fabric;
+    fabric.threads = 3;
+    fabric.serve_sockets = {"127.0.0.1:" +
+                            std::to_string(server.bound_port())};
+    fabric_summary = campaign::run_campaign(grid, spec, cfg, fabric)
+                         .summary_text;
+  }
+  server.request_stop();
+  daemon.join();
+  ASSERT_NE(server.registry().counter("serve.requests.run").value(), 0u)
+      << "the daemon never bound its TCP port or served no run";
+
+  campaign::CampaignOptions local;
+  local.threads = 2;
+  const std::string local_summary =
+      campaign::run_campaign(grid, spec, cfg, local).summary_text;
+  ASSERT_FALSE(local_summary.empty());
+  EXPECT_EQ(fabric_summary, local_summary);
 }
 
 /// Plant steps of scenario `s`: the length of the power trace the local

@@ -1,211 +1,158 @@
-// Tests for the execution subsystem (exec::ThreadPool).
+// Tests for the execution subsystem: the fork-join exec::parallel_for
+// and stop tokens.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
-#include <numeric>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/parallel_for.h"
 #include "exec/stop_token.h"
-#include "exec/thread_pool.h"
 
 namespace otem::exec {
 namespace {
 
-TEST(ThreadPool, DefaultConcurrencyIsPositive) {
+TEST(ParallelFor, DefaultConcurrencyIsPositive) {
   EXPECT_GE(default_concurrency(), 1u);
 }
 
-TEST(ThreadPool, ThreadCountMatchesRequest) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.thread_count(), 3u);
-  ThreadPool serial(1);
-  EXPECT_EQ(serial.thread_count(), 1u);
-}
-
-TEST(ThreadPool, EmptyRangeIsANoOp) {
-  ThreadPool pool(4);
+TEST(ParallelFor, EmptyRangeIsANoOp) {
   std::atomic<int> calls{0};
-  pool.parallel_for(0, [&](size_t) { calls.fetch_add(1); });
+  parallel_for(0, [&](size_t) { calls.fetch_add(1); }, 4);
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ThreadPool, VisitsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
+TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   const size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for(n, [&](size_t i) { hits[i].fetch_add(1); });
+  parallel_for(n, [&](size_t i) { hits[i].fetch_add(1); }, 4);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ThreadPool, SerialPoolVisitsInOrder) {
-  ThreadPool pool(1);
+TEST(ParallelFor, SerialWidthVisitsInOrderOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<size_t> order;
-  pool.parallel_for(5, [&](size_t i) { order.push_back(i); });
+  parallel_for(
+      5,
+      [&](size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+      },
+      /*threads=*/1);
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPool, ParallelMapCollectsByIndex) {
-  ThreadPool pool(4);
-  const std::vector<int> out =
-      pool.parallel_map(8, [](size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(out.size(), 8u);
-  for (size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
+/// Thread ids seen by one parallel_for call.
+std::set<std::thread::id> threads_used(size_t n, size_t threads) {
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  parallel_for(
+      n,
+      [&](size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+      },
+      threads);
+  return ids;
 }
 
-TEST(ThreadPool, PropagatesTheFirstException) {
-  ThreadPool pool(4);
+TEST(ParallelFor, NeverUsesMoreThreadsThanRequestedOrIndices) {
+  EXPECT_LE(threads_used(64, 3).size(), 3u);
+  EXPECT_LE(threads_used(2, 8).size(), 2u);
+}
+
+TEST(ParallelFor, RunsTheFullWidthAtOnceWithTheCallerWorking) {
+  // Each index blocks until all three are in flight, so the call only
+  // returns if three threads (two spawned plus the caller) ran at once.
+  constexpr size_t kWidth = 3;
+  std::mutex mutex;
+  std::condition_variable all_in;
+  size_t arrived = 0;
+  std::set<std::thread::id> ids;
+  parallel_for(
+      kWidth,
+      [&](size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+        if (++arrived == kWidth) all_in.notify_all();
+        EXPECT_TRUE(all_in.wait_for(lock, std::chrono::seconds(10),
+                                    [&] { return arrived == kWidth; }));
+      },
+      kWidth);
+  EXPECT_EQ(ids.size(), kWidth);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
+}
+
+TEST(ParallelFor, ZeroThreadsResolvesThroughDefaultConcurrency) {
+  const char* old = std::getenv("OTEM_THREADS");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("OTEM_THREADS", "2", 1);
+  EXPECT_EQ(default_concurrency(), 2u);
+  EXPECT_LE(threads_used(32, 0).size(), 2u);
+  if (old != nullptr)
+    ::setenv("OTEM_THREADS", saved.c_str(), 1);
+  else
+    ::unsetenv("OTEM_THREADS");
+}
+
+TEST(ParallelFor, PropagatesTheFirstException) {
   std::atomic<int> completed{0};
   try {
-    pool.parallel_for(64, [&](size_t i) {
-      if (i == 13) throw std::runtime_error("boom");
-      completed.fetch_add(1);
-    });
+    parallel_for(
+        64,
+        [&](size_t i) {
+          if (i == 13) throw std::runtime_error("boom");
+          completed.fetch_add(1);
+        },
+        4);
     FAIL() << "expected the task exception to propagate";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom");
   }
   // Every non-throwing index still ran: one failure does not abandon
-  // the batch.
+  // the range.
   EXPECT_EQ(completed.load(), 63);
 }
 
-TEST(ThreadPool, ExceptionOnSerialPathPropagates) {
-  ThreadPool pool(1);
-  EXPECT_THROW(
-      pool.parallel_for(4, [](size_t i) {
-        if (i == 2) throw std::invalid_argument("serial boom");
-      }),
-      std::invalid_argument);
+TEST(ParallelFor, ExceptionOnSerialPathPropagates) {
+  EXPECT_THROW(parallel_for(
+                   4,
+                   [](size_t i) {
+                     if (i == 2) throw std::invalid_argument("serial boom");
+                   },
+                   1),
+               std::invalid_argument);
 }
 
-TEST(ThreadPool, NestedParallelForRunsSeriallyWithoutDeadlock) {
-  ThreadPool pool(4);
+TEST(ParallelFor, NestedParallelForRunsSeriallyOnTheWorker) {
   std::atomic<int> inner_calls{0};
-  pool.parallel_for(8, [&](size_t) {
-    // A nested parallel_for from inside a pool task must degrade to a
-    // serial loop on this worker instead of waiting on the pool.
-    pool.parallel_for(8, [&](size_t) { inner_calls.fetch_add(1); });
-  });
+  std::atomic<int> inner_off_thread{0};
+  parallel_for(
+      8,
+      [&](size_t) {
+        // A nested call from inside a worker must run serially on that
+        // worker instead of spawning a second layer of threads.
+        const std::thread::id worker = std::this_thread::get_id();
+        parallel_for(
+            8,
+            [&](size_t) {
+              inner_calls.fetch_add(1);
+              if (std::this_thread::get_id() != worker)
+                inner_off_thread.fetch_add(1);
+            },
+            4);
+      },
+      4);
   EXPECT_EQ(inner_calls.load(), 64);
-}
-
-TEST(ThreadPool, ReusableAcrossManyBatches) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<long> sum{0};
-    pool.parallel_for(100, [&](size_t i) {
-      sum.fetch_add(static_cast<long>(i));
-    });
-    EXPECT_EQ(sum.load(), 4950);
-  }
-}
-
-TEST(ThreadPool, FreeFunctionHonoursSerialWidth) {
-  std::vector<size_t> order;
-  parallel_for(4, [&](size_t i) { order.push_back(i); }, /*threads=*/1);
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3}));
-}
-
-TEST(ThreadPool, FreeFunctionExplicitWidthVisitsAll) {
-  std::vector<std::atomic<int>> hits(64);
-  parallel_for(64, [&](size_t i) { hits[i].fetch_add(1); },
-               /*threads=*/3);
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-// --- submit(): independent joinable tasks -----------------------------------
-
-TEST(Submit, RunsTaskAndWaitJoins) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  TaskHandle h = pool.submit([&] { ran.fetch_add(1); });
-  ASSERT_TRUE(h.valid());
-  h.wait();
-  EXPECT_TRUE(h.done());
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(Submit, ManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  std::vector<TaskHandle> handles;
-  for (long i = 0; i < 100; ++i)
-    handles.push_back(pool.submit([&sum, i] { sum.fetch_add(i); }));
-  for (TaskHandle& h : handles) h.wait();
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(Submit, WaitRethrowsTheTaskException) {
-  ThreadPool pool(2);
-  TaskHandle h = pool.submit([] { throw std::runtime_error("task boom"); });
-  EXPECT_THROW(h.wait(), std::runtime_error);
-  EXPECT_TRUE(h.done());  // faulted counts as finished
-}
-
-TEST(Submit, SerialPoolRunsInline) {
-  ThreadPool pool(1);  // no workers: must not deadlock
-  bool ran = false;
-  TaskHandle h = pool.submit([&] { ran = true; });
-  EXPECT_TRUE(ran);  // already executed on the calling thread
-  EXPECT_TRUE(h.done());
-  h.wait();
-}
-
-TEST(Submit, FromInsideAPoolTaskRunsInline) {
-  ThreadPool pool(2);
-  std::atomic<bool> inner_ran{false};
-  TaskHandle outer = pool.submit([&] {
-    // A nested submit must not wait on a queue only this pool drains.
-    TaskHandle inner = pool.submit([&] { inner_ran.store(true); });
-    EXPECT_TRUE(inner.done());
-  });
-  outer.wait();
-  EXPECT_TRUE(inner_ran.load());
-}
-
-TEST(Submit, CoexistsWithParallelForBatches) {
-  ThreadPool pool(4);
-  std::atomic<int> task_runs{0};
-  std::vector<TaskHandle> handles;
-  for (int i = 0; i < 16; ++i)
-    handles.push_back(pool.submit([&] { task_runs.fetch_add(1); }));
-  // Batch work keeps its bit-identical semantics with tasks in flight.
-  std::atomic<long> sum{0};
-  pool.parallel_for(1000, [&](size_t i) {
-    sum.fetch_add(static_cast<long>(i));
-  });
-  EXPECT_EQ(sum.load(), 499500);
-  for (TaskHandle& h : handles) h.wait();
-  EXPECT_EQ(task_runs.load(), 16);
-}
-
-TEST(Submit, InvalidHandleIsInert) {
-  TaskHandle h;
-  EXPECT_FALSE(h.valid());
-  EXPECT_FALSE(h.done());
-  h.wait();  // no-op, must not crash
-}
-
-TEST(Submit, CooperativeCancellationViaStopToken) {
-  ThreadPool pool(2);
-  StopSource source;
-  StopToken token = source.token();
-  std::atomic<int> iterations{0};
-  TaskHandle h = pool.submit([&] {
-    while (!token.stop_requested()) {
-      iterations.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  source.request_stop();
-  h.wait();  // returns only because the task observed the stop
-  EXPECT_GE(iterations.load(), 0);
-  EXPECT_TRUE(h.done());
+  EXPECT_EQ(inner_off_thread.load(), 0);
 }
 
 // --- stop tokens ------------------------------------------------------------

@@ -1,18 +1,23 @@
 // Tests for the serve subsystem: otem.serve.v1 protocol golden
 // transcripts, frame codec (oversized frames, pipelining, EOF), the
 // single-flight result cache, canonical cache keys, admission
-// backpressure, deadlines, drain semantics and the stdio transport.
+// backpressure, the `threads`-wide run gate, deadlines, drain semantics
+// and the stdio transport.
 //
 // Everything here drives Server::handle_line (the transport-free core)
 // or real pipes — no Unix socket is needed; CI's smoke job covers the
 // socket path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +28,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/strings.h"
+#include "core/methodology_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/cache.h"
@@ -35,7 +41,7 @@
 namespace otem::serve {
 namespace {
 
-/// A server sized for tests: tiny pool, small cache, instant drain.
+/// A server sized for tests: two run slots, small cache, instant drain.
 ServerOptions test_options() {
   ServerOptions opts;
   opts.threads = 2;
@@ -485,6 +491,118 @@ TEST(ServeDrain, CancelsInFlightWorkThenRefusesNewWork) {
             std::string::npos);
 }
 
+// --- run gate ---------------------------------------------------------------
+
+/// Shared state of the overlap probe below.
+struct ProbeState {
+  std::mutex mutex;
+  std::condition_variable released;
+  bool hold = false;
+  size_t active = 0;
+  size_t peak = 0;
+};
+
+ProbeState& probe() {
+  static ProbeState state;
+  return state;
+}
+
+/// The `parallel` strategy wrapped to count how many runs exist at once
+/// (a run's methodology lives exactly as long as the run). While `hold`
+/// is set a new run waits in its constructor, so a test can keep the
+/// runs that got a slot executing until every request is admitted.
+class OverlapProbe final : public core::Methodology {
+ public:
+  explicit OverlapProbe(std::unique_ptr<core::Methodology> inner)
+      : inner_(std::move(inner)) {
+    ProbeState& p = probe();
+    std::unique_lock<std::mutex> lock(p.mutex);
+    p.peak = std::max(p.peak, ++p.active);
+    p.released.wait(lock, [&] { return !p.hold; });
+  }
+  ~OverlapProbe() override {
+    const std::lock_guard<std::mutex> lock(probe().mutex);
+    --probe().active;
+  }
+  std::string name() const override { return "overlap_probe"; }
+  void reset(const core::PlantState& initial,
+             const TimeSeries& power_forecast) override {
+    inner_->reset(initial, power_forecast);
+  }
+  core::StepRecord step(core::PlantState& state, double p_e_w, size_t k,
+                        double dt) override {
+    return inner_->step(state, p_e_w, k, dt);
+  }
+
+ private:
+  std::unique_ptr<core::Methodology> inner_;
+};
+
+/// How long the runs holding a slot are kept waiting [ms].
+constexpr int kProbeHoldMs = 50;
+
+/// Sends `clients` concurrent probe runs (cache bypassed, so each one
+/// computes), holds the runs that got a slot until every request is
+/// admitted plus kProbeHoldMs, and returns the most runs seen at once.
+size_t peak_concurrent_runs(Server& server, size_t clients) {
+  static const bool registered = [] {
+    core::MethodologyRegistry::instance().add(
+        "overlap_probe", [](const core::SystemSpec& spec, const Config& cfg) {
+          return std::make_unique<OverlapProbe>(
+              core::make_methodology("parallel", spec, cfg));
+        });
+    return true;
+  }();
+  (void)registered;
+  ProbeState& p = probe();
+  {
+    const std::lock_guard<std::mutex> lock(p.mutex);
+    p.hold = true;
+    p.active = 0;
+    p.peak = 0;
+  }
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < clients; ++i)
+    threads.emplace_back([&] {
+      const std::string resp = server.handle_line(
+          "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"cache\":"
+          "\"bypass\",\"overrides\":{\"method\":\"overlap_probe\","
+          "\"synthetic\":true,\"synthetic_duration_s\":30}}");
+      EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+    });
+  wait_for_inflight(server, clients);
+  std::this_thread::sleep_for(std::chrono::milliseconds(kProbeHoldMs));
+  {
+    const std::lock_guard<std::mutex> lock(p.mutex);
+    p.hold = false;
+  }
+  p.released.notify_all();
+  for (std::thread& t : threads) t.join();
+  const std::lock_guard<std::mutex> lock(p.mutex);
+  return p.peak;
+}
+
+TEST(ServeRunGate, ConcurrentRunsNeverOverlapMoreThanThreads) {
+  for (const size_t threads : {1u, 2u}) {
+    ServerOptions opts = test_options();
+    opts.threads = threads;
+    opts.queue_depth = 8;
+    Server server(opts);
+    // Six admitted runs, `threads` slots: the gate is the only cap, and
+    // the held runs make the full width observable.
+    EXPECT_EQ(peak_concurrent_runs(server, 6), threads)
+        << "threads=" << threads;
+    EXPECT_EQ(server.active_requests(), 0u);
+  }
+}
+
+TEST(ServeRunGate, WidthBeyondTheSemaphoreRangeIsRefused) {
+  // `threads=-1` on the command line arrives as SIZE_MAX.
+  ServerOptions opts = test_options();
+  opts.threads = static_cast<size_t>(-1);
+  EXPECT_THROW(Server server(opts), SimError);
+}
+
 // --- frame codec ------------------------------------------------------------
 
 struct Pipe {
@@ -667,36 +785,23 @@ TEST(CacheKey, SpecOverridesLandInTheSortedTail) {
 #ifndef OTEM_OBS_DISABLED
 
 TEST(ServeObs, QueueWaitIsRecordedUnderLoad) {
-  // One pool thread + several concurrent admissions: all but the first
-  // run MUST sit in the pool queue, and that wait has to land in both
-  // the serve.queue.wait_us instruments and (because latency is
-  // measured from frame entry) the serve.request.latency_us ones.
+  // One run slot and four concurrent admissions: the first run holds the
+  // slot for at least kProbeHoldMs after all four are admitted, so the
+  // other three wait that long for it. The wait has to land in both the
+  // serve.queue.wait_us instruments and (because latency is measured
+  // from frame entry) the serve.request.latency_us ones.
   ServerOptions opts = test_options();
   opts.threads = 1;
   opts.queue_depth = 4;
   Server server(opts);
 
   constexpr size_t kClients = 4;
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (size_t i = 0; i < kClients; ++i)
-    clients.emplace_back([&, i] {
-      // Distinct durations + cache bypass: every request computes.
-      const std::string req =
-          "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"cache\":"
-          "\"bypass\",\"overrides\":{\"method\":\"parallel\","
-          "\"synthetic\":true,\"synthetic_duration_s\":" +
-          std::to_string(30 + i) + "}}";
-      const std::string resp = server.handle_line(req);
-      EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
-    });
-  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(peak_concurrent_runs(server, kClients), 1u);
 
   const obs::MetricsSnapshot snap = server.registry().snapshot();
   const obs::Histogram::Snapshot& wait_hist =
       snap.histograms.at("serve.queue.wait_us");
   EXPECT_EQ(wait_hist.count, kClients);
-  EXPECT_GT(wait_hist.max, 0.0);
 
   const obs::Sketch::Snapshot wait =
       server.registry().sketch("serve.queue.wait_us").snapshot();
@@ -704,10 +809,11 @@ TEST(ServeObs, QueueWaitIsRecordedUnderLoad) {
       server.registry().sketch("serve.request.latency_us").snapshot();
   EXPECT_EQ(wait.count, kClients);
   EXPECT_EQ(latency.count, kClients);
-  // Serialized on one thread, the slowest request queued behind the
-  // others — its wait is non-trivial, and its end-to-end latency
-  // cannot be smaller than its own queue wait.
-  EXPECT_GT(wait.max, 0.0);
+  // Half the hold leaves room for the moment between admission and the
+  // slot wait; a server that does not queue records microseconds.
+  constexpr double kMinWaitUs = kProbeHoldMs * 1000.0 / 2.0;
+  EXPECT_GE(wait_hist.max, kMinWaitUs);
+  EXPECT_GE(wait.max, kMinWaitUs);
   EXPECT_GE(latency.max, wait.max);
 }
 

@@ -33,7 +33,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/rng.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/sketch.h"
 #include "obs/trace.h"
