@@ -9,6 +9,10 @@ and fails when the sessionful serving path regresses:
               the headline claim (sub-millisecond p50 at H=30 over
               localhost TCP); CI passes machine-appropriate values
               because shared runners are not the 1-core reference box.
+  relative  — the RTT p50 must stay within --max-rtt-over-step times
+              the daemon's own serve.session.step_us p50 from the same
+              run: whatever the host's speed, the wire, framing and
+              client add at most that factor to the step itself.
   warm start — the mean QP iterations of warm steps (k>=1, riding the
               receding-horizon warm start carried across protocol
               frames) must be below --max-warm-cold-ratio of the cold
@@ -21,11 +25,11 @@ and fails when the sessionful serving path regresses:
               otem controllers, which solve on every step; the loadtest
               reads the counters before its one-shot run), sessions
               opened == closed (none leaked or evicted mid-test), and
-              the sharded result cache counters must be present so
-              multi-worker serving keeps reporting.
+              the result cache counters must be present.
 
 Usage: check_serve.py BENCH_serve.json [--max-p50-us 1000]
-       [--max-p99-us 20000] [--max-warm-cold-ratio 0.75]
+       [--max-p99-us 20000] [--max-rtt-over-step 2.0]
+       [--max-warm-cold-ratio 0.75]
 
 Exit code 1 on any violated bound, a missing section (a renamed field
 can't silently disable the gate), or a non-Release build stamp.
@@ -44,6 +48,7 @@ def main():
     ap.add_argument("bench_json")
     ap.add_argument("--max-p50-us", type=float, default=1000.0)
     ap.add_argument("--max-p99-us", type=float, default=20000.0)
+    ap.add_argument("--max-rtt-over-step", type=float, default=2.0)
     ap.add_argument("--max-warm-cold-ratio", type=float, default=0.75)
     args = ap.parse_args()
 
@@ -97,11 +102,18 @@ def main():
             f"daemon's serve.session.step_us sketch saw "
             f"{server_step.get('count')} steps but clients measured "
             f"{rtt.get('count')} — instrumentation is dropping steps")
-    workers = stats.get("workers", {})
-    if workers.get("count") != ctx.get("workers"):
-        failures.append(
-            f"stats reports {workers.get('count')} workers, context "
-            f"says {ctx.get('workers')}")
+    step_p50 = server_step.get("p50")
+    ratio = None
+    if not step_p50 or step_p50 <= 0 or p50 is None:
+        failures.append("daemon's serve.session.step_us p50 is missing; "
+                        "cannot check RTT against the step itself")
+    else:
+        ratio = p50 / step_p50
+        if ratio > args.max_rtt_over_step:
+            failures.append(
+                f"session.step RTT p50 {p50:.0f} us is {ratio:.2f}x the "
+                f"daemon's step p50 {step_p50:.0f} us, over the bound "
+                f"{args.max_rtt_over_step}x")
 
     counters = doc.get("counters", {})
     clients = ctx.get("clients")
@@ -121,8 +133,8 @@ def main():
                 "feeding the daemon's sim/solver instruments")
     for name in ("serve.cache.hits", "serve.cache.misses"):
         if name not in counters:
-            failures.append(f"counter {name} missing — the sharded "
-                            "result cache stopped reporting")
+            failures.append(f"counter {name} missing — the result "
+                            "cache stopped reporting")
 
     if failures:
         for f in failures:
@@ -131,9 +143,9 @@ def main():
 
     print(f"check_serve: OK — p50 {p50:.0f} us (bound "
           f"{args.max_p50_us:.0f}), p99 {p99:.0f} us (bound "
-          f"{args.max_p99_us:.0f}), warm/cold QP iterations "
-          f"{warm:.1f}/{cold:.1f} over {int(rtt['count'])} steps, "
-          f"{workers.get('count')} workers")
+          f"{args.max_p99_us:.0f}), RTT/step p50 {ratio:.2f}x (bound "
+          f"{args.max_rtt_over_step}x), warm/cold QP iterations "
+          f"{warm:.1f}/{cold:.1f} over {int(rtt['count'])} steps")
     return 0
 
 

@@ -55,9 +55,8 @@ class Committer {
         acc_(std::move(acc)),
         watermark_(watermark),
         pending_(std::move(pending)),
-        total_(total) {
-    capacity_ = options.max_pending > 0 ? options.max_pending
-                                        : 4 * threads + 16;
+        total_(total),
+        capacity_(4 * threads + 16) {
     last_checkpoint_ = watermark_;
     // A restored checkpoint may carry a foldable prefix (defensively —
     // writers fold eagerly, so this is normally a no-op).
@@ -160,7 +159,8 @@ class Committer {
   std::uint64_t watermark_;
   std::map<std::uint64_t, ScenarioResult> pending_;
   const std::uint64_t total_;
-  size_t capacity_;
+  /// Reorder window: how far ahead of the watermark a worker may run.
+  const size_t capacity_;
   std::uint64_t last_checkpoint_ = 0;
   std::uint64_t run_ = 0;
   std::uint64_t checkpoints_ = 0;
@@ -168,25 +168,6 @@ class Committer {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
 };
-
-/// Config key/value pairs extracted once up front, so each scenario can
-/// build a PRIVATE Config: Config copies share a consumed-key set and
-/// concurrent reads through copies would race on it (the serve server
-/// takes the same precaution per session).
-std::vector<std::pair<std::string, std::string>> extract_pairs(
-    const Config& cfg) {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  for (const std::string& key : cfg.keys())
-    pairs.emplace_back(key, cfg.get_string(key, ""));
-  return pairs;
-}
-
-Config make_private_config(
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  Config cfg;
-  for (const auto& [key, value] : pairs) cfg.set(key, value);
-  return cfg;
-}
 
 /// What a campaign with a metrics registry attached records, resolved
 /// once up front: the sim.*/solver.* bundle every local scenario's
@@ -208,8 +189,7 @@ struct WorkerInstruments {
 
 ScenarioResult run_local(
     const ScenarioSpec& s, const core::SystemSpec& base_spec,
-    const std::vector<std::pair<std::string, std::string>>& base_pairs,
-    const CampaignOptions& options,
+    const Config& cfg, const CampaignOptions& options,
     const sim::DiagnosticsSink::Instruments* diagnostics) {
   core::SystemSpec spec = base_spec.with_ultracap_size(
       base_spec.ultracap.capacitance_f * s.uc_scale);
@@ -232,7 +212,6 @@ ScenarioResult run_local(
   if (!options.telemetry_csv_prefix.empty())
     scenario.trace_csv = options.telemetry_csv_prefix + s.id + ".csv";
 
-  const Config cfg = make_private_config(base_pairs);
   std::unique_ptr<sim::DiagnosticsSink> sink;
   std::vector<sim::StepSink*> sinks;
   if (diagnostics != nullptr) {
@@ -247,9 +226,10 @@ ScenarioResult run_local(
 /// Assemble the otem.serve.v1 run request for one scenario. Base config
 /// pairs forward first (methodology parameters the daemons need), the
 /// scenario's own resolved values last so they win.
-std::string build_run_request(
-    const ScenarioSpec& s, const core::SystemSpec& base_spec,
-    const std::vector<std::pair<std::string, std::string>>& base_pairs) {
+std::string build_run_request(const ScenarioSpec& s,
+                              const core::SystemSpec& base_spec,
+                              const Config& cfg,
+                              const CampaignOptions& options) {
   serve::Request req;
   req.method = "run";
   req.id = Json(s.id);
@@ -257,10 +237,18 @@ std::string build_run_request(
   // low mantissa bits, which would make fabric and local campaign
   // summaries drift. report_hex carries IEEE-754 bit patterns instead.
   req.hex_doubles = true;
-  for (const auto& [key, value] : base_pairs) {
-    // campaign.* is the grid's vocabulary, not the daemons'.
-    if (key.rfind("campaign.", 0) == 0) continue;
-    req.overrides.emplace_back(key, value);
+  for (const std::string& key : cfg.keys()) {
+    // campaign.* is the grid's vocabulary, not the daemons'. Front-end
+    // orchestration keys (threads=, summary_out=, ...) steer THIS
+    // process; forwarding them would poison daemon cache keys or be
+    // refused outright (metrics_out and friends are server-side output
+    // overrides).
+    if (key.rfind("campaign.", 0) == 0 ||
+        std::find(options.local_only_keys.begin(),
+                  options.local_only_keys.end(),
+                  key) != options.local_only_keys.end())
+      continue;
+    req.overrides.emplace_back(key, cfg.get_string(key, ""));
   }
   req.overrides.emplace_back("method", s.methodology);
   if (s.synthetic()) {
@@ -321,11 +309,10 @@ ScenarioResult parse_run_response(const std::string& line,
   return out;
 }
 
-ScenarioResult run_remote(
-    const ScenarioSpec& s, const core::SystemSpec& base_spec,
-    const std::vector<std::pair<std::string, std::string>>& base_pairs,
-    const CampaignOptions& options) {
-  const std::string request = build_run_request(s, base_spec, base_pairs);
+ScenarioResult run_remote(const ScenarioSpec& s,
+                          const core::SystemSpec& base_spec,
+                          const Config& cfg, const CampaignOptions& options) {
+  const std::string request = build_run_request(s, base_spec, cfg, options);
   // Spread load by scenario index; on transport failure or timeout
   // (stragglers, dead daemons) re-dispatch to the next socket. Overload
   // refusals are retried with backoff by the client before a socket is
@@ -393,24 +380,7 @@ CampaignOutcome run_campaign(const Grid& grid,
   Committer committer(grid, options, std::move(acc), watermark,
                       std::move(restored_pending), total, threads);
 
-  std::vector<std::pair<std::string, std::string>> base_pairs =
-      extract_pairs(cfg);
   const bool fabric = !options.serve_sockets.empty();
-  if (fabric && !options.local_only_keys.empty()) {
-    // Front-end orchestration keys (threads=, summary_out=, ...) steer
-    // THIS process; forwarding them would poison daemon cache keys or
-    // be refused outright (metrics_out and friends are server-side
-    // output overrides).
-    base_pairs.erase(
-        std::remove_if(base_pairs.begin(), base_pairs.end(),
-                       [&](const std::pair<std::string, std::string>& kv) {
-                         return std::find(options.local_only_keys.begin(),
-                                          options.local_only_keys.end(),
-                                          kv.first) !=
-                                options.local_only_keys.end();
-                       }),
-        base_pairs.end());
-  }
 
   std::unique_ptr<const WorkerInstruments> instruments;
   if (options.metrics != nullptr)
@@ -431,9 +401,8 @@ CampaignOutcome run_campaign(const Grid& grid,
           const ScenarioSpec s = grid.at(index);
           const double t0_us = instruments ? obs::now_us() : 0.0;
           ScenarioResult result =
-              fabric ? run_remote(s, base_spec, base_pairs, options)
-                     : run_local(s, base_spec, base_pairs, options,
-                                 diagnostics);
+              fabric ? run_remote(s, base_spec, cfg, options)
+                     : run_local(s, base_spec, cfg, options, diagnostics);
           if (instruments)
             instruments->scenario_us[index % grid.methodologies.size()]
                 ->record(obs::now_us() - t0_us);

@@ -8,9 +8,12 @@
 
 namespace otem {
 
-Config::Config() : consumed_(std::make_shared<std::set<std::string>>()) {}
+Config::Config() : consumed_(std::make_shared<Consumed>()) {}
 
-void Config::touch(const std::string& key) const { consumed_->insert(key); }
+void Config::touch(const std::string& key) const {
+  const std::lock_guard<std::mutex> lock(consumed_->mutex);
+  consumed_->keys.insert(key);
+}
 
 void Config::set_pair(std::string_view pair) {
   const auto eq = pair.find('=');
@@ -108,8 +111,9 @@ std::vector<std::string> Config::keys() const {
 
 std::vector<std::string> Config::unused_keys() const {
   std::vector<std::string> out;
+  const std::lock_guard<std::mutex> lock(consumed_->mutex);
   for (const auto& [k, v] : values_) {
-    if (!consumed_->count(k)) out.push_back(k);
+    if (!consumed_->keys.count(k)) out.push_back(k);
   }
   return out;
 }

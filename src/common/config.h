@@ -10,11 +10,14 @@
 // warning instead of a silently-ignored fallback. The consumed set is
 // shared between copies of a Config (copies hand the same experiment's
 // keys to different subsystems), so a key counts as used no matter which
-// copy served the read.
+// copy served the read. A mutex guards it: one Config and its copies may
+// be read from any number of threads at once (writes — set/set_pair —
+// still belong to one thread per copy).
 #pragma once
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
@@ -55,6 +58,13 @@ class Config {
   /// as consumed.
   std::vector<std::string> keys() const;
 
+  /// Every key/value pair, sorted by key. Does not mark keys as
+  /// consumed: for code that fingerprints a whole Config (the serve
+  /// cache key), where reading a key is not using it.
+  const std::map<std::string, std::string>& values() const {
+    return values_;
+  }
+
   /// Keys present in THIS config that no accessor (here or on any copy)
   /// has read yet, sorted. Call after the experiment is wired up to
   /// catch misspelled overrides.
@@ -63,9 +73,14 @@ class Config {
  private:
   void touch(const std::string& key) const;
 
+  struct Consumed {
+    std::mutex mutex;
+    std::set<std::string> keys;
+  };
+
   std::map<std::string, std::string> values_;
   // Shared across copies; see the header comment.
-  std::shared_ptr<std::set<std::string>> consumed_;
+  std::shared_ptr<Consumed> consumed_;
 };
 
 }  // namespace otem

@@ -28,9 +28,6 @@ constexpr double kelvin_to_celsius(double k) noexcept { return k - 273.15; }
 /// Convert ampere-hours to coulombs.
 constexpr double ah_to_coulomb(double ah) noexcept { return ah * 3600.0; }
 
-/// Convert coulombs to ampere-hours.
-constexpr double coulomb_to_ah(double c) noexcept { return c / 3600.0; }
-
 /// Convert watt-hours to joules.
 constexpr double wh_to_joule(double wh) noexcept { return wh * 3600.0; }
 
@@ -40,23 +37,11 @@ constexpr double joule_to_wh(double j) noexcept { return j / 3600.0; }
 /// Convert kilowatt-hours to joules.
 constexpr double kwh_to_joule(double kwh) noexcept { return kwh * 3.6e6; }
 
-/// Convert joules to kilowatt-hours.
-constexpr double joule_to_kwh(double j) noexcept { return j / 3.6e6; }
-
 /// Convert miles per hour to metres per second.
 constexpr double mph_to_mps(double mph) noexcept { return mph * 0.44704; }
 
-/// Convert metres per second to miles per hour.
-constexpr double mps_to_mph(double mps) noexcept { return mps / 0.44704; }
-
 /// Convert kilometres per hour to metres per second.
 constexpr double kmh_to_mps(double kmh) noexcept { return kmh / 3.6; }
-
-/// Convert metres per second to kilometres per hour.
-constexpr double mps_to_kmh(double mps) noexcept { return mps * 3.6; }
-
-/// Convert metres to miles.
-constexpr double m_to_miles(double m) noexcept { return m / 1609.344; }
 
 /// Convert metres to kilometres.
 constexpr double m_to_km(double m) noexcept { return m / 1000.0; }

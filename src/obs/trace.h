@@ -27,9 +27,8 @@
 //
 // TraceCollector drains the rings into Chrome trace-event JSON
 // (schema "otem.trace.v1" — load the file in chrome://tracing or
-// https://ui.perfetto.dev), into per-name summaries (the serve `stats`
-// method), or into span-duration Sketch instruments in a
-// MetricsRegistry.
+// https://ui.perfetto.dev) or into per-name summaries (the serve `stats`
+// method).
 //
 // All timestamps share obs::now_us()'s steady epoch, so spans emitted
 // by different layers (and trace_emit() records made from timings the
@@ -43,8 +42,6 @@
 #include "common/json.h"
 
 namespace otem::obs {
-
-class MetricsRegistry;
 
 /// Runtime tracing switch (process-wide, default OFF — tracing is
 /// opt-in, unlike metrics). Independent of obs::set_enabled.
@@ -132,11 +129,6 @@ class TraceCollector {
   /// to_chrome_json() + write to `path`; throws otem::SimError on I/O
   /// failure.
   void write_chrome_trace(const std::string& path) const;
-
-  /// Record every drained span's duration into
-  /// `<prefix><name>.dur_us` Sketch instruments in `registry`.
-  void record_durations(MetricsRegistry& registry,
-                        const std::string& prefix = "trace.") const;
 };
 
 }  // namespace otem::obs

@@ -93,10 +93,9 @@ class BlockTridiagCholesky {
     block_ops_ += 4 * stages - 2;
   }
 
-  /// Fixed-size block-kernel applications since the last reset — the
+  /// Fixed-size block-kernel applications since construction — the
   /// architecture-independent cost counter the CI scaling gate reads.
   size_t block_ops() const { return block_ops_; }
-  void reset_block_ops() { block_ops_ = 0; }
 
  private:
   std::vector<Block>* diag_ = nullptr;  ///< borrowed factor storage

@@ -107,8 +107,4 @@ double Lu::det() const {
   return d;
 }
 
-Vector solve_linear(const Matrix& a, const Vector& b) {
-  return Lu(a).solve(b);
-}
-
 }  // namespace otem::optim

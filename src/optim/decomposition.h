@@ -55,7 +55,4 @@ class Lu {
   int sign_ = 1;
 };
 
-/// Convenience: solve A x = b for general square A via LU.
-Vector solve_linear(const Matrix& a, const Vector& b);
-
 }  // namespace otem::optim

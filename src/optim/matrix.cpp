@@ -188,12 +188,6 @@ double Matrix::max_abs() const {
   return m;
 }
 
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 bool Matrix::is_symmetric(double tol) const {
   if (rows_ != cols_) return false;
   for (size_t r = 0; r < rows_; ++r)

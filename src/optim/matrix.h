@@ -72,9 +72,6 @@ class Matrix {
   /// Max absolute element (infinity norm of the flattened data).
   double max_abs() const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
   /// True when symmetric to within `tol` (absolute).
   bool is_symmetric(double tol = 1e-12) const;
 

@@ -65,26 +65,6 @@ inline void add_scaled(SmallMat<R, C>& inout, const SmallMat<R, C>& other,
     for (size_t c = 0; c < C; ++c) inout.m[r][c] += alpha * other.m[r][c];
 }
 
-/// out += alpha * u v^T (rank-1 update from raw arrays).
-template <size_t R, size_t C>
-inline void outer_add(SmallMat<R, C>& out, const double* u, const double* v,
-                      double alpha) {
-  for (size_t r = 0; r < R; ++r) {
-    const double ur = alpha * u[r];
-    for (size_t c = 0; c < C; ++c) out.m[r][c] += ur * v[c];
-  }
-}
-
-/// y += A x.
-template <size_t R, size_t C>
-inline void gemv_add(const SmallMat<R, C>& a, const double* x, double* y) {
-  for (size_t r = 0; r < R; ++r) {
-    double s = 0.0;
-    for (size_t c = 0; c < C; ++c) s += a.m[r][c] * x[c];
-    y[r] += s;
-  }
-}
-
 /// y -= A x.
 template <size_t R, size_t C>
 inline void gemv_sub(const SmallMat<R, C>& a, const double* x, double* y) {

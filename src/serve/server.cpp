@@ -83,7 +83,7 @@ bool is_output_override(const std::string& key) {
          key == "record_trace" || key == "trace_out";
 }
 
-/// Resolves the options' defaults: at least one acceptor worker, and
+/// Resolves the options' defaults: at least one acceptor loop, and
 /// threads=0 -> exec::default_concurrency() run slots.
 ServerOptions resolve_options(ServerOptions options) {
   options.workers = std::max<size_t>(options.workers, 1);
@@ -119,15 +119,11 @@ Json sketch_stats_json(const obs::Sketch::Snapshot& s) {
 
 Server::Server(const ServerOptions& options)
     : options_(resolve_options(options)),
-      cache_(options_.cache_bytes, options_.workers, registry_),
+      cache_(options_.cache_bytes, registry_),
       run_instruments_(registry_),
       sessions_(SessionLimits{options.session_limit, options.session_ttl_s},
                 registry_),
       run_slots_(static_cast<std::ptrdiff_t>(options_.threads)),
-      latency_us_(registry_.histogram("serve.request.latency_us",
-                                      obs::latency_buckets_us())),
-      queue_wait_us_(registry_.histogram("serve.queue.wait_us",
-                                         obs::latency_buckets_us())),
       latency_sketch_(registry_.sketch("serve.request.latency_us")),
       queue_wait_sketch_(registry_.sketch("serve.queue.wait_us")),
       session_step_sketch_(registry_.sketch("serve.session.step_us")),
@@ -138,13 +134,6 @@ Server::Server(const ServerOptions& options)
   ::fcntl(wake[1], F_SETFL, O_NONBLOCK);
   wake_read_fd_ = wake[0];
   wake_write_fd_ = wake[1];
-  worker_latency_.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i) {
-    worker_latency_.push_back(&registry_.sketch(
-        "serve.worker" + std::to_string(i) + ".request_latency_us"));
-  }
-  for (const std::string& key : options_.base.keys())
-    base_pairs_.emplace_back(key, options_.base.get_string(key, ""));
   if (!options_.trace_out.empty()) obs::set_trace_enabled(true);
 }
 
@@ -213,10 +202,9 @@ std::string Server::oversized_response() {
           " bytes");
 }
 
-std::string Server::handle_line(const std::string& line, size_t worker) {
+std::string Server::handle_line(const std::string& line) {
   const obs::TraceSpan request_span("serve.request");
   const double t0 = obs::now_us();
-  if (worker >= worker_latency_.size()) worker = 0;
   Request req;
   try {
     const obs::TraceSpan parse_span("serve.parse");
@@ -250,20 +238,6 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       result.set("session_step_us",
                  sketch_stats_json(session_step_sketch_.snapshot()));
       result.set("sessions_active", sessions_.active());
-      // Per-worker latency sketches folded IN WORKER ORDER — the same
-      // deterministic KLL merge the campaign fabric relies on, so the
-      // merged quantiles are identical on every stats call over the
-      // same traffic regardless of which worker answers it.
-      {
-        Json workers = Json::object();
-        workers.set("count", worker_latency_.size());
-        obs::QuantileSketch merged(worker_latency_.front()->k());
-        for (const obs::Sketch* ws : worker_latency_)
-          merged.merge(ws->collect());
-        workers.set("request_latency_us",
-                    sketch_stats_json(obs::summarize(merged)));
-        result.set("workers", std::move(workers));
-      }
       Json spans = Json::object();
       for (const obs::TraceCollector::SpanSummary& s :
            obs::TraceCollector().summaries()) {
@@ -290,26 +264,16 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
       // cache hit, refusal, error) — and t0 is taken at frame entry, so
       // it always includes queue wait and parse time.
       const std::string response = handle_run(req);
-      const double latency = obs::now_us() - t0;
-      latency_us_.record(latency);
-      latency_sketch_.record(latency);
-      worker_latency_[worker]->record(latency);
+      latency_sketch_.record(obs::now_us() - t0);
       return response;
     }
     if (req.method == "session.step") {
       const std::string response = handle_session_step(req);
-      const double latency = obs::now_us() - t0;
-      session_step_sketch_.record(latency);
-      worker_latency_[worker]->record(latency);
+      session_step_sketch_.record(obs::now_us() - t0);
       return response;
     }
-    if (req.method == "session.open" || req.method == "session.close") {
-      const std::string response = req.method == "session.open"
-                                       ? handle_session_open(req)
-                                       : handle_session_close(req);
-      worker_latency_[worker]->record(obs::now_us() - t0);
-      return response;
-    }
+    if (req.method == "session.open") return handle_session_open(req);
+    if (req.method == "session.close") return handle_session_close(req);
   } catch (const std::exception& e) {
     return error_response(req.id, ErrorCode::kInternal, e.what());
   }
@@ -320,10 +284,8 @@ std::string Server::handle_line(const std::string& line, size_t worker) {
 std::optional<std::string> Server::resolve_request(const Request& req,
                                                    Config& merged,
                                                    sim::Scenario& scenario) {
-  // A private Config per request: base pairs first, then the request's
-  // overrides on top. Never share a Config across sessions — copies
-  // share their consumed-key set, which concurrent reads would race on.
-  for (const auto& [key, value] : base_pairs_) merged.set(key, value);
+  // The base overrides first, then the request's on top.
+  merged = options_.base;
   for (const auto& [key, value] : req.overrides) {
     if (is_output_override(key)) {
       return error_response(req.id, ErrorCode::kBadRequest,
@@ -400,7 +362,6 @@ std::string Server::handle_run(const Request& req) {
     run_slots_.acquire();
     const RunSlotRelease slot{run_slots_};
     const double wait_us = obs::now_us() - wait_start_us;
-    queue_wait_us_.record(wait_us);
     queue_wait_sketch_.record(wait_us);
     obs::trace_emit("serve.queue_wait", wait_start_us, wait_us);
 
@@ -561,7 +522,7 @@ std::string Server::handle_session_close(const Request& req) {
   return build_ok_response(req.id, false, doc.dump(0));
 }
 
-void Server::session_loop(int in_fd, int out_fd, size_t worker) {
+void Server::session_loop(int in_fd, int out_fd) {
   FrameReader reader(in_fd, options_.max_frame_bytes);
   std::string line;
   for (;;) {
@@ -575,7 +536,7 @@ void Server::session_loop(int in_fd, int out_fd, size_t worker) {
     }
     const std::string response = status == FrameReader::Status::kOversized
                                      ? oversized_response()
-                                     : handle_line(line, worker);
+                                     : handle_line(line);
     if (!write_frame(out_fd, response)) return;
   }
 }
@@ -646,14 +607,14 @@ void Server::shutdown_flush() {
 
 int Server::serve_stdio(int in_fd, int out_fd) {
   SignalGuard signals;
-  session_loop(in_fd, out_fd, 0);
+  session_loop(in_fd, out_fd);
   request_stop();
   drain();
   shutdown_flush();
   return 0;
 }
 
-void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
+void Server::accept_loop(int listen_fd, bool tcp) {
   obs::Counter& connections = registry_.counter("serve.connections");
   while (!stopping()) {
     struct pollfd pfds[2];
@@ -663,7 +624,7 @@ void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
     if (pr <= 0) continue;  // timeout or EINTR: re-check stopping()
     if (pfds[1].revents != 0) continue;  // woken for shutdown
     if ((pfds[0].revents & POLLIN) == 0) continue;
-    // The listening socket is non-blocking: every worker polls it, so a
+    // The listening socket is non-blocking: every acceptor polls it, so a
     // wakeup may find another acceptor already took the connection
     // (EAGAIN) — just go around.
     const int client_fd = ::accept(listen_fd, nullptr, nullptr);
@@ -679,8 +640,8 @@ void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
       std::lock_guard<std::mutex> lock(connections_mutex_);
       ++open_connections_;
     }
-    std::thread([this, client_fd, worker] {
-      session_loop(client_fd, client_fd, worker);
+    std::thread([this, client_fd] {
+      session_loop(client_fd, client_fd);
       ::close(client_fd);
       // Notify under the lock: serve_listener cannot return (and ~Server
       // destroy the condvar) until this thread has released it.
@@ -694,20 +655,20 @@ void Server::accept_loop(int listen_fd, bool tcp, size_t worker) {
 int Server::serve_listener(int listen_fd, bool tcp) {
   SignalGuard signals;
   g_wake_fd.store(wake_write_fd_, std::memory_order_relaxed);
-  // Non-blocking accept: all workers poll the same listening socket and
+  // Non-blocking accept: all acceptors poll the same listening socket and
   // the kernel wakes whoever it pleases; losers of the accept race must
   // not block.
   ::fcntl(listen_fd, F_SETFL, O_NONBLOCK);
 
-  // Workers 1..N-1 on their own threads, worker 0 on this one. The
-  // wake byte is deliberately never read: once written, every poller
-  // sees POLLIN forever, so ALL workers wake and observe stopping().
+  // Acceptor loops 2..N on their own threads, the first on this one.
+  // The wake byte is deliberately never read: once written, every poller
+  // sees POLLIN forever, so ALL acceptors wake and observe stopping().
   std::vector<std::thread> acceptors;
   for (size_t w = 1; w < options_.workers; ++w)
-    acceptors.emplace_back([this, listen_fd, tcp, w] {
-      accept_loop(listen_fd, tcp, w);
+    acceptors.emplace_back([this, listen_fd, tcp] {
+      accept_loop(listen_fd, tcp);
     });
-  accept_loop(listen_fd, tcp, 0);
+  accept_loop(listen_fd, tcp);
   for (std::thread& t : acceptors) t.join();
 
   ::close(listen_fd);

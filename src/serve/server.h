@@ -34,12 +34,10 @@
 // line in, one response line out — which is what the protocol tests
 // drive directly.
 //
-// Multi-worker mode (workers=N) runs N acceptor loops over the shared
-// listening socket; the result cache is consistently sharded N ways
-// (serve/cache.h ShardedResultCache — single-flight and byte-identical
-// replay guarantees hold per shard), and each worker keeps its own
-// request-latency sketch, merged deterministically in worker order by
-// the `stats` method (the same KLL merge the campaign fabric uses).
+// workers=N runs N acceptor loops over the shared listening socket.
+// An acceptor only accepts connections and spawns their threads; every
+// connection thread parses its own frames and runs its own missions,
+// and all of them share one result cache and one set of instruments.
 //
 // Mission sessions (serve/session.h): session.open resolves a scenario
 // and pins a resident controller + plant state; session.step executes
@@ -51,9 +49,9 @@
 // in-flight work.
 //
 // Observability (registry(), all under serve.*): queue depth gauge,
-// request latency and queue-wait histograms AND quantile sketches
-// (latency covers every run completion path — success, cache hit and
-// error — and therefore includes queue wait), per-method request
+// request latency and queue-wait quantile sketches (latency covers
+// every run completion path — success, cache hit and error — and
+// therefore includes queue wait), per-method request
 // counters, per-code error counters, cache hit/miss/coalesced/eviction
 // counters and byte/entry gauges, connection counter. The `stats`
 // method returns the live latency/queue-wait quantiles plus per-name
@@ -70,7 +68,6 @@
 #include <optional>
 #include <semaphore>
 #include <string>
-#include <vector>
 
 #include "common/config.h"
 #include "exec/stop_token.h"
@@ -95,8 +92,8 @@ struct ServerOptions {
   double drain_timeout_s = 5.0;
   /// Frames longer than this are refused (connection survives).
   size_t max_frame_bytes = 1u << 20;
-  /// Acceptor workers over the shared listening socket; also the result
-  /// cache's shard count. 1 = the single-worker daemon.
+  /// Acceptor loops over the shared listening socket. They only accept
+  /// connections; parsing and runs happen on the connection threads.
   size_t workers = 1;
   /// Resident mission-session ceiling; opening past it evicts the LRU
   /// session. 0 disables the session API (session.open refuses).
@@ -127,10 +124,7 @@ class Server {
   /// The transport-free core: one request frame in, one response frame
   /// out (no trailing newline). Never throws — every failure becomes a
   /// structured error response. Safe to call from many threads.
-  /// `worker` attributes the request to one worker's latency sketch
-  /// (clamped to the worker count; transports pass their acceptor's
-  /// index).
-  std::string handle_line(const std::string& line, size_t worker = 0);
+  std::string handle_line(const std::string& line);
 
   /// The response for a frame the codec refused as oversized.
   std::string oversized_response();
@@ -183,11 +177,11 @@ class Server {
   std::string handle_session_close(const Request& request);
   std::string error_response(const Json& id, ErrorCode code,
                              const std::string& message);
-  void session_loop(int in_fd, int out_fd, size_t worker);
+  void session_loop(int in_fd, int out_fd);
   /// Shared serving loop behind serve_unix/serve_tcp: runs
   /// options_.workers acceptor loops over `listen_fd`, then drains.
   int serve_listener(int listen_fd, bool tcp);
-  void accept_loop(int listen_fd, bool tcp, size_t worker);
+  void accept_loop(int listen_fd, bool tcp);
   void shutdown_flush();
 
   bool try_admit();
@@ -197,13 +191,9 @@ class Server {
   void unregister_inflight(std::uint64_t id);
 
   ServerOptions options_;
-  /// Base overrides as plain pairs: each request builds a private
-  /// Config from them, so concurrent requests never share a consumed-
-  /// key set (Config copies share theirs, which would race).
-  std::vector<std::pair<std::string, std::string>> base_pairs_;
 
   obs::MetricsRegistry registry_;
-  ShardedResultCache cache_;
+  ResultCache cache_;
   /// One pre-resolved sim/solver instrument bundle shared by every run
   /// request and session (sharded instruments make concurrent runs
   /// safe), so the metrics method surfaces solver.* fleet-wide.
@@ -227,20 +217,15 @@ class Server {
   /// the Server's lifetime so a late request_stop never writes to a
   /// closed descriptor.
   int wake_write_fd_ = -1;
-  int wake_read_fd_ = -1;  ///< polled by every acceptor worker
+  int wake_read_fd_ = -1;  ///< polled by every acceptor loop
   std::atomic<int> bound_port_{0};
 
-  obs::Histogram& latency_us_;
-  obs::Histogram& queue_wait_us_;
-  /// Sketch twins of the two histograms: exact-bucket-free p50/p95/p99
-  /// for the `stats` method and the otem.metrics.v1 "sketches" section.
+  /// Request latency and queue wait: p50/p95/p99 for the `stats`
+  /// method and the otem.metrics.v1 "sketches" section.
   obs::Sketch& latency_sketch_;
   obs::Sketch& queue_wait_sketch_;
   /// session.step handling time (the headline sub-millisecond tier).
   obs::Sketch& session_step_sketch_;
-  /// Per-acceptor-worker request latency, merged in worker order by the
-  /// `stats` method.
-  std::vector<obs::Sketch*> worker_latency_;
   obs::Gauge& queue_depth_;
 };
 

@@ -34,7 +34,6 @@ class PackThermalModel {
   PackThermalModel(CoolingParams lumped, int segments);
 
   int segments() const { return segments_; }
-  const CoolingParams& lumped_params() const { return lumped_; }
 
   struct State {
     std::vector<double> t_cell_k;     ///< per segment

@@ -1,11 +1,14 @@
 // Tests for the common utility layer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "common/csv.h"
@@ -16,6 +19,7 @@
 #include "common/strings.h"
 #include "common/timeseries.h"
 #include "common/units.h"
+#include "exec/parallel_for.h"
 
 namespace otem {
 namespace {
@@ -435,6 +439,38 @@ TEST(Config, CopiesShareConsumptionState) {
   const Config copy = cfg;
   EXPECT_EQ(copy.get_long("otem.horizon", 0), 12);
   EXPECT_TRUE(cfg.unused_keys().empty());
+}
+
+TEST(Config, OneConfigAndItsCopiesMayBeReadFromManyThreads) {
+  // Campaign workers and serve requests read one experiment's Config
+  // and copies of it at once. Every key is read exactly once, by one
+  // task, through the original or a copy: a read lost to a race on the
+  // shared consumed set would leave its key in unused_keys().
+  Config cfg;
+  constexpr size_t kKeys = 256;
+  constexpr size_t kTasks = 8;
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < kKeys; ++i) {
+    keys.push_back(std::to_string(i) + ".k");
+    cfg.set(keys.back(), std::to_string(i));
+  }
+  cfg.set_pair("never.read=1");
+  const Config copy = cfg;
+  std::atomic<size_t> wrong{0};
+  exec::parallel_for(
+      kTasks,
+      [&](size_t task) {
+        const Config& src = task % 2 == 0 ? cfg : copy;
+        for (size_t i = task; i < kKeys; i += kTasks) {
+          if (src.get_long(keys[i], -1) != static_cast<long>(i))
+            wrong.fetch_add(1);
+          if (src.unused_keys().empty()) wrong.fetch_add(1);
+        }
+      },
+      4);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(cfg.unused_keys(), std::vector<std::string>{"never.read"});
+  EXPECT_EQ(copy.unused_keys(), std::vector<std::string>{"never.read"});
 }
 
 TEST(Config, FallbackReadStillCountsAsConsumption) {

@@ -2,8 +2,8 @@
 // scale-out transports: session.open/step/close lifecycle and
 // determinism, warm-start carryover across protocol frames, TTL and
 // capacity eviction, drain semantics, the TCP transport (ephemeral
-// port + bound_port discovery), multi-worker sharded-cache contention
-// and the deterministic per-worker stats merge.
+// port + bound_port discovery) and cached-reply contention across
+// several acceptor loops.
 //
 // Most tests drive Server::handle_line (the transport-free core); the
 // TCP tests bind 127.0.0.1:0 and run real localhost sockets.
@@ -447,10 +447,10 @@ TEST(ServeTcp, SessionLifecycleOverOnePersistentConnection) {
 }
 
 TEST(ServeTcp, MultiWorkerCachedRepliesAreByteIdenticalUnderContention) {
-  // The sharded-cache guarantee end to end: many concurrent clients
-  // asking for the SAME mission over TCP against a multi-worker daemon
-  // must all receive byte-identical response documents (modulo the id
-  // they chose), with the computation done once per shard claim.
+  // The single-flight guarantee end to end: many concurrent clients
+  // asking for the SAME mission over TCP against a daemon with several
+  // acceptor loops must all receive byte-identical response documents
+  // (modulo the id they chose), with the computation done once.
   ServerOptions opts = session_test_options();
   opts.workers = 4;
   TcpServerFixture fx(opts);
@@ -518,36 +518,6 @@ TEST(ServeTcp, ConcurrentSessionsSurviveAMultiWorkerDaemon) {
   const obs::MetricsSnapshot snap = fx.server.registry().snapshot();
   EXPECT_EQ(snap.counters.at("serve.sessions_opened"), kClients);
   EXPECT_EQ(snap.counters.at("serve.sessions_closed"), kClients);
-}
-
-TEST(ServeTcp, StatsMergesWorkerSketchesDeterministically) {
-  ServerOptions opts = session_test_options();
-  opts.workers = 3;
-  Server server(opts);
-  // Attribute traffic to distinct workers through the transport-free
-  // core, exactly as the acceptor loops do.
-  for (size_t w = 0; w < 3; ++w) {
-    for (int i = 0; i < 4; ++i)
-      (void)server.handle_line(
-          "{\"schema\":\"otem.serve.v1\",\"method\":\"run\",\"overrides\":"
-          "{\"method\":\"parallel\",\"synthetic\":true,"
-          "\"synthetic_duration_s\":30}}",
-          w);
-  }
-  const std::string stats_request =
-      "{\"schema\":\"otem.serve.v1\",\"method\":\"stats\"}";
-  const Json first = ok_result(server.handle_line(stats_request));
-  const Json second = ok_result(server.handle_line(stats_request, 2));
-  const Json* wa = first.find("workers");
-  const Json* wb = second.find("workers");
-  ASSERT_NE(wa, nullptr);
-  ASSERT_NE(wb, nullptr);
-  EXPECT_EQ(wa->find("count")->as_number(), 3.0);
-  // The per-worker KLL sketches merge in worker order: the merged
-  // quantiles must be identical on every stats call over the same
-  // traffic, whichever worker answers.
-  EXPECT_EQ(wa->find("request_latency_us")->dump(0),
-            wb->find("request_latency_us")->dump(0));
 }
 
 }  // namespace

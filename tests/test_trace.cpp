@@ -16,8 +16,7 @@
 //   - the span tracer: disabled-by-default records nothing, RAII spans
 //     reconstruct parent/child nesting, trace_emit() attaches to the
 //     active span, rings cap at kTraceRingCapacity newest-wins,
-//     otem.trace.v1 Chrome JSON is well-formed, record_durations()
-//     lands span durations in registry sketches, and collect() is safe
+//     otem.trace.v1 Chrome JSON is well-formed, and collect() is safe
 //     against concurrent writers (the TSan job runs this binary).
 #include <gtest/gtest.h>
 
@@ -454,20 +453,6 @@ TEST(Trace, WriteChromeTraceRoundTrips) {
   EXPECT_EQ(doc.find("schema")->as_string(), "otem.trace.v1");
   EXPECT_GE(doc.find("traceEvents")->size(), 1u);
   std::remove(path.c_str());
-}
-
-TEST(Trace, RecordDurationsLandsInRegistrySketches) {
-  const TraceGuard guard(true);
-  {
-    const obs::TraceSpan a("t.dur_a");
-    const obs::TraceSpan b("t.dur_b");
-  }
-  obs::MetricsRegistry registry;
-  obs::TraceCollector().record_durations(registry);
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.sketches.count("trace.t.dur_a.dur_us"), 1u);
-  ASSERT_EQ(snap.sketches.count("trace.t.dur_b.dur_us"), 1u);
-  EXPECT_GE(snap.sketches.at("trace.t.dur_a.dur_us").count, 1u);
 }
 
 TEST(Trace, SummariesAggregateByName) {
